@@ -92,6 +92,9 @@ pub fn write_serve_bench_json(path: &Path, report: &SubmitReport) -> io::Result<
         // read + reply).
         ("warm_hit_p50_ms", quantile(0.5)),
         ("warm_hit_p99_ms", quantile(0.99)),
+        // Host facts that explain the latencies above.
+        ("available_parallelism", Json::UInt(available_parallelism())),
+        ("profile", Json::Str(build_profile().into())),
     ]);
     runs.push(entry.clone());
 
@@ -106,6 +109,20 @@ pub fn write_serve_bench_json(path: &Path, report: &SubmitReport) -> io::Result<
     }
     std::fs::write(path, doc.to_string_compact() + "\n")?;
     Ok(entry)
+}
+
+/// Threads the host offers this process (0 when it cannot tell).
+fn available_parallelism() -> u64 {
+    std::thread::available_parallelism().map_or(0, |n| n.get() as u64)
+}
+
+/// The build profile of this binary, as cargo names it.
+fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
 }
 
 /// Wall time of a prior *full cold* 1-worker run of the same campaign,
@@ -390,6 +407,18 @@ mod tests {
         assert_eq!(entry.get("mode").and_then(Json::as_str), Some("serve"));
         let p50 = entry.get("warm_hit_p50_ms").and_then(Json::as_f64).unwrap();
         assert!((p50 - 4.0).abs() < 1e-9, "nearest-rank p50 of [2ms,4ms] is 4ms: {p50}");
+
+        // Every serve entry carries the host facts behind its numbers.
+        assert_eq!(
+            entry.get("available_parallelism").and_then(Json::as_u64),
+            Some(std::thread::available_parallelism().unwrap().get() as u64)
+        );
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        assert_eq!(entry.get("profile").and_then(Json::as_str), Some(profile));
 
         // A rerun replaces the serve entry, not the engine one.
         write_serve_bench_json(&path, &serve_report(&[1_000_000], 5_000_000)).unwrap();

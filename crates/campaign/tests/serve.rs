@@ -20,8 +20,8 @@ use inpg_campaign::{
     ExecOptions, HeadlineMetric, Notification, Reply, Request, ServiceRunner,
 };
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("inpg-serve-{}-{tag}", std::process::id()));
@@ -118,6 +118,18 @@ impl Daemon {
         submit::shutdown(&self.source()).expect("shutdown request");
         let status = self.child.wait().expect("wait");
         assert!(status.success(), "a drained daemon must exit 0, got {status}");
+    }
+
+    /// Waits for the process to exit on its own, panicking after `limit`.
+    fn exit_within(&mut self, limit: Duration) -> ExitStatus {
+        let start = Instant::now();
+        while start.elapsed() < limit {
+            if let Some(status) = self.child.try_wait().expect("try_wait") {
+                return status;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("daemon still running {limit:?} after being told to drain");
     }
 }
 
@@ -582,5 +594,63 @@ fn adaptive_over_two_daemons_matches_the_engine_byte_for_byte() {
 
     daemon_a.drain_and_wait();
     daemon_b.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_an_idle_daemon() {
+    let dir = scratch("sigterm");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "1"],
+    );
+    daemon.wait_ready();
+
+    // std has no signal API; `kill` is the portable way to send one.
+    let sent = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(sent.success(), "kill -TERM failed: {sent}");
+
+    let status = daemon.exit_within(Duration::from_secs(5));
+    assert!(
+        status.success(),
+        "a SIGTERMed daemon must drain and exit 0, got {status}"
+    );
+    assert!(
+        !daemon.addr_file.exists(),
+        "a drained daemon removes its addr-file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_drain_wakes_a_daemon_bound_to_the_unspecified_address() {
+    let dir = scratch("unspecified");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "1", "--addr", "0.0.0.0:0"],
+    );
+    daemon.wait_ready();
+
+    // The later `--addr` wins. A drain wakes the blocked accept with a
+    // connection to the bound address, which for 0.0.0.0 is not a
+    // portable connect target, so it must go through loopback instead.
+    submit::shutdown(&daemon.source()).expect("shutdown request");
+    let status = daemon.exit_within(Duration::from_secs(5));
+    assert!(
+        status.success(),
+        "a drained daemon must exit 0, got {status}"
+    );
+    assert!(
+        !daemon.addr_file.exists(),
+        "a drained daemon removes its addr-file"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -62,7 +62,7 @@ fn bench_hot_lock(c: &mut Criterion) {
                 let mut system =
                     System::new(cfg, programs, 1, LockPlacement::At(CoreId::new(53)))
                         .expect("valid system");
-                let result = system.run();
+                let result = system.run().expect("fault-free run");
                 assert!(result.completed);
                 black_box(result.cycles)
             })
@@ -161,11 +161,12 @@ fn bench_invariant_checker(c: &mut Criterion) {
 
     // Advance a contended iNPG run partway so caches, directories, and
     // the network all carry live state when the sweep runs.
-    let cfg = Mechanism::Inpg.apply(SystemConfig::baseline());
+    let mut cfg = Mechanism::Inpg.apply(SystemConfig::baseline());
+    cfg.max_cycles = 5_000;
     let programs = micro::hot_lock(64, 4, 500, 100);
     let mut warm =
         System::new(cfg, programs, 1, LockPlacement::At(CoreId::new(53))).expect("valid system");
-    warm.run_for(5_000);
+    warm.run().expect("fault-free run must pass every check");
     group.bench_function("invariant_sweep_mid_run", |b| {
         b.iter(|| {
             warm.check_protocol_invariants().expect("fault-free run must stay clean");
@@ -181,7 +182,7 @@ fn bench_invariant_checker(c: &mut Criterion) {
             let programs = micro::hot_lock(64, 4, 500, 100);
             let mut system = System::new(cfg, programs, 1, LockPlacement::At(CoreId::new(53)))
                 .expect("valid system");
-            let result = system.run_checked().expect("fault-free run must pass every check");
+            let result = system.run().expect("fault-free run must pass every check");
             assert!(result.completed);
             black_box(result.cycles)
         })

@@ -29,6 +29,7 @@
 use crate::cell::{fnv1a64, CellConfig, CellRecord, CellSpec};
 use crate::clock::HarnessClock;
 use crate::engine::{self, ExecOptions};
+use crate::exec;
 use crate::json::Json;
 use crate::submit::{self, SubmitOptions};
 use inpg::stats::estimator::{Estimate, Welford};
@@ -562,12 +563,7 @@ pub fn run_adaptive(
     };
 
     if let Some(path) = &opts.merged_out {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, artifact_text(&report))?;
+        exec::write_artifact(path, artifact_lines(&report), artifact_footer(&report))?;
     }
 
     Ok(report)
@@ -587,27 +583,23 @@ fn group_summary_line(group: &GroupSummary) -> Json {
     ])
 }
 
-/// The merged artifact: per group, the kept replica lines (the engine's
-/// exact entry encoding — label, hash, config, record) followed by the
-/// group's summary line, then a trailing adaptive footer. Everything is
-/// a pure function of the campaign definition and the options.
-fn artifact_text(report: &AdaptiveReport) -> String {
-    let mut text = String::new();
-    for group in &report.groups {
-        for replica in &group.replicas {
-            let line = engine::merged_entry_line(
-                &replica.label,
-                &replica.hash,
-                &replica.config,
-                &replica.record,
-            );
-            text.push_str(&line.to_string_compact());
-            text.push('\n');
-        }
-        text.push_str(&group_summary_line(group).to_string_compact());
-        text.push('\n');
-    }
-    let footer = Json::obj(vec![
+/// The merged artifact's body: per group, the kept replica lines (the
+/// engine's exact entry encoding — label, hash, config, record)
+/// followed by the group's summary line. Everything is a pure function
+/// of the campaign definition and the options.
+fn artifact_lines(report: &AdaptiveReport) -> impl Iterator<Item = Json> + '_ {
+    report.groups.iter().flat_map(|group| {
+        group
+            .replicas
+            .iter()
+            .map(|r| exec::merged_entry_line(&r.label, &r.hash, &r.config, &r.record))
+            .chain([group_summary_line(group)])
+    })
+}
+
+/// The adaptive artifact's trailing footer line.
+fn artifact_footer(report: &AdaptiveReport) -> Json {
+    Json::obj(vec![
         ("footer", Json::Bool(true)),
         ("campaign", Json::Str(report.name.clone())),
         ("mode", Json::Str("adaptive".into())),
@@ -615,10 +607,7 @@ fn artifact_text(report: &AdaptiveReport) -> String {
         ("replicas", Json::UInt(report.kept() as u64)),
         ("ci_target", Json::num(report.ci_target)),
         ("seed_budget", Json::UInt(report.seed_budget)),
-    ]);
-    text.push_str(&footer.to_string_compact());
-    text.push('\n');
-    text
+    ])
 }
 
 #[cfg(test)]

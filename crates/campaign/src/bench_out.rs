@@ -12,7 +12,9 @@
 //! that single-worker run.
 
 use crate::adaptive::AdaptiveReport;
+use crate::clock::cycles_per_sec;
 use crate::engine::CampaignReport;
+use crate::exec::create_parent_dir;
 use crate::json::{self, Json};
 use crate::submit::SubmitReport;
 use std::io;
@@ -21,6 +23,32 @@ use std::path::Path;
 /// Merges `report` into the bench file at `path` (created if absent).
 /// Returns the entry that was written.
 pub fn write_bench_json(path: &Path, report: &CampaignReport) -> io::Result<Json> {
+    // Replace the previous entry for this (campaign, workers, resume, cold).
+    let report_cold = report.executed == report.outcomes.len() && report.executed > 0;
+    merge_run(
+        path,
+        |r| {
+            let r_cold = r.get("cells").and_then(Json::as_u64)
+                == r.get("executed").and_then(Json::as_u64)
+                && r.get("executed").and_then(Json::as_u64).unwrap_or(0) > 0;
+            r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
+                && r.get("workers").and_then(Json::as_u64) == Some(report.workers as u64)
+                && r.get("resume").and_then(Json::as_bool) == Some(report.resume)
+                && r_cold == report_cold
+        },
+        |runs| entry_json(report, baseline_wall_ms(runs, report)),
+    )
+}
+
+/// Rewrites the bench file at `path` (created if absent, parent
+/// directories too) with every earlier run except those `replaced`
+/// matches, followed by the entry `entry` builds from the runs kept.
+/// Returns that entry.
+fn merge_run(
+    path: &Path,
+    replaced: impl Fn(&Json) -> bool,
+    entry: impl FnOnce(&[Json]) -> Json,
+) -> io::Result<Json> {
     let mut runs: Vec<Json> = match std::fs::read_to_string(path) {
         Ok(text) => json::parse(&text)
             .ok()
@@ -29,31 +57,15 @@ pub fn write_bench_json(path: &Path, report: &CampaignReport) -> io::Result<Json
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-
-    // Drop the previous entry for this (campaign, workers, resume, cold).
-    let report_cold = report.executed == report.outcomes.len() && report.executed > 0;
-    runs.retain(|r| {
-        let r_cold = r.get("cells").and_then(Json::as_u64)
-            == r.get("executed").and_then(Json::as_u64)
-            && r.get("executed").and_then(Json::as_u64).unwrap_or(0) > 0;
-        !(r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
-            && r.get("workers").and_then(Json::as_u64) == Some(report.workers as u64)
-            && r.get("resume").and_then(Json::as_bool) == Some(report.resume)
-            && r_cold == report_cold)
-    });
-
-    let entry = entry_json(report, baseline_wall_ms(&runs, report));
+    runs.retain(|r| !replaced(r));
+    let entry = entry(&runs);
     runs.push(entry.clone());
 
     let doc = Json::obj(vec![
         ("schema", Json::UInt(1)),
         ("runs", Json::Arr(runs)),
     ]);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+    create_parent_dir(path)?;
     std::fs::write(path, doc.to_string_compact() + "\n")?;
     Ok(entry)
 }
@@ -64,19 +76,6 @@ pub fn write_bench_json(path: &Path, report: &CampaignReport) -> io::Result<Json
 /// and coexists with the in-process engine's `(workers, resume, cold)`
 /// entries, which carry no `mode` field. Returns the entry written.
 pub fn write_serve_bench_json(path: &Path, report: &SubmitReport) -> io::Result<Json> {
-    let mut runs: Vec<Json> = match std::fs::read_to_string(path) {
-        Ok(text) => json::parse(&text)
-            .ok()
-            .and_then(|v| v.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec))
-            .unwrap_or_default(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    runs.retain(|r| {
-        !(r.get("mode").and_then(Json::as_str) == Some("serve")
-            && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str()))
-    });
-
     let quantile = |q: f64| report.hit_latency_ms(q).map_or(Json::Null, Json::num);
     let entry = Json::obj(vec![
         ("campaign", Json::Str(report.name.clone())),
@@ -96,19 +95,14 @@ pub fn write_serve_bench_json(path: &Path, report: &SubmitReport) -> io::Result<
         ("available_parallelism", Json::UInt(available_parallelism())),
         ("profile", Json::Str(build_profile().into())),
     ]);
-    runs.push(entry.clone());
-
-    let doc = Json::obj(vec![
-        ("schema", Json::UInt(1)),
-        ("runs", Json::Arr(runs)),
-    ]);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, doc.to_string_compact() + "\n")?;
-    Ok(entry)
+    merge_run(
+        path,
+        |r| {
+            r.get("mode").and_then(Json::as_str) == Some("serve")
+                && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
+        },
+        |_| entry,
+    )
 }
 
 /// Threads the host offers this process (0 when it cannot tell).
@@ -167,11 +161,8 @@ fn entry_json(report: &CampaignReport, baseline_wall_ms: Option<f64>) -> Json {
         .outcomes
         .iter()
         .map(|o| {
-            let cps = if o.wall_nanos == 0 {
-                Json::Null
-            } else {
-                Json::num(o.record.roi_cycles as f64 * 1e9 / o.wall_nanos as f64)
-            };
+            let cps =
+                cycles_per_sec(o.record.roi_cycles, o.wall_nanos).map_or(Json::Null, Json::num);
             Json::obj(vec![
                 ("cell", Json::Str(o.spec.label.clone())),
                 ("hash", Json::Str(o.hash.clone())),
@@ -208,20 +199,6 @@ pub fn write_adaptive_bench_json(
     report: &AdaptiveReport,
     backend: &str,
 ) -> io::Result<Json> {
-    let mut runs: Vec<Json> = match std::fs::read_to_string(path) {
-        Ok(text) => json::parse(&text)
-            .ok()
-            .and_then(|v| v.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec))
-            .unwrap_or_default(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    runs.retain(|r| {
-        !(r.get("mode").and_then(Json::as_str) == Some("adaptive")
-            && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
-            && r.get("backend").and_then(Json::as_str) == Some(backend))
-    });
-
     let groups_detail: Vec<Json> = report
         .groups
         .iter()
@@ -251,19 +228,15 @@ pub fn write_adaptive_bench_json(
         ("wall_ms", Json::num(report.wall_nanos as f64 / 1e6)),
         ("groups_detail", Json::Arr(groups_detail)),
     ]);
-    runs.push(entry.clone());
-
-    let doc = Json::obj(vec![
-        ("schema", Json::UInt(1)),
-        ("runs", Json::Arr(runs)),
-    ]);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, doc.to_string_compact() + "\n")?;
-    Ok(entry)
+    merge_run(
+        path,
+        |r| {
+            r.get("mode").and_then(Json::as_str) == Some("adaptive")
+                && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
+                && r.get("backend").and_then(Json::as_str) == Some(backend)
+        },
+        |_| entry,
+    )
 }
 
 #[cfg(test)]

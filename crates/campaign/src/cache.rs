@@ -24,6 +24,12 @@ use crate::json::{self, Json};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+// sync: Relaxed — a process-wide sequence number whose only job is to
+// make every store's tmp name unique; `fetch_add` hands out distinct
+// values at any ordering, and nothing is published through it.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Why a lookup did not produce a usable record. `Absent` is the
 /// ordinary cold-cache case; every other variant means an entry existed
@@ -112,7 +118,9 @@ impl ResultCache {
     }
 
     /// Writes the entry for a (config, record) pair, crash-safely: the
-    /// payload goes to a per-process temporary file, is fsynced, and is
+    /// payload goes to a temporary file unique to this store call (pid
+    /// plus a process-wide sequence number, so two threads storing the
+    /// same cell never share one), is fsynced, and is
     /// atomically renamed into place. A process killed at any point
     /// leaves either the old entry, the new entry, or an orphaned
     /// `.tmp` file (collected by [`gc_stale_tmp`](Self::gc_stale_tmp))
@@ -129,8 +137,9 @@ impl ResultCache {
             ("record", record.to_json()),
         ]);
         let path = self.entry_path(config);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed); // sync: see TMP_SEQ
         let tmp = self.dir.join(format!(
-            ".{}.{}.tmp",
+            ".{}.{}.{seq}.tmp",
             config.content_hash(),
             std::process::id()
         ));
@@ -260,6 +269,26 @@ mod tests {
         fs::copy(&path, cache.entry_path(&other)).unwrap();
         assert!(matches!(cache.load(&other), Err(CacheMiss::HashMismatch(_))));
 
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_cell_all_succeed() {
+        let cache = ResultCache::new(tmp_dir("concurrent"));
+        let (config, record) = run_cell();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for round in 0..100 {
+                        cache
+                            .store(&config, &record)
+                            .unwrap_or_else(|e| panic!("store failed in round {round}: {e}"));
+                        assert_eq!(cache.load(&config).expect("verified hit"), record);
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.gc_stale_tmp().unwrap(), 0, "no tmp file left behind");
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -28,6 +28,12 @@ impl HarnessClock {
     }
 }
 
+/// Simulated cycles per wall-clock second over a span of `wall_nanos`
+/// (`None` for an untimed or unmeasurably short span).
+pub fn cycles_per_sec(cycles: u64, wall_nanos: u64) -> Option<f64> {
+    (wall_nanos > 0).then(|| cycles as f64 * 1e9 / wall_nanos as f64)
+}
+
 /// A wall-clock deadline, created and compared only here at the harness
 /// boundary. The campaign service hands these to its deadline timer;
 /// serve/submit code asks `expired()`/`remaining_ms()` and never names

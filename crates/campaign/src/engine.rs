@@ -1,6 +1,7 @@
 //! The campaign engine: resolves cells against the content-addressed
-//! cache, executes the misses on the work-stealing pool, and merges
-//! everything back in canonical cell order.
+//! cache, executes the misses on the [pool](crate::pool) through the
+//! shared [cell pipeline](crate::exec), and merges everything back in
+//! canonical cell order.
 //!
 //! # Determinism argument
 //!
@@ -13,9 +14,10 @@
 //! in the progress stream and the `BENCH_campaign.json` sidecar, never
 //! in the merged artifact.
 
-use crate::cache::{CacheMiss, ResultCache};
+use crate::cache::ResultCache;
 use crate::cell::{Campaign, CellRecord, CellSpec};
-use crate::clock::HarnessClock;
+use crate::clock::{cycles_per_sec, HarnessClock};
+use crate::exec::{self, Lookup, Ran};
 use crate::json::Json;
 use crate::pool;
 use inpg::{ExperimentResult, SimError};
@@ -171,16 +173,13 @@ impl CampaignReport {
     /// Suite-level simulated-cycles-per-second over the cells actually
     /// executed this run.
     pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
         let executed_cycles: u64 = self
             .outcomes
             .iter()
             .filter(|o| !o.cached)
             .map(|o| o.record.roi_cycles)
             .sum();
-        executed_cycles as f64 * 1e9 / self.wall_nanos as f64
+        cycles_per_sec(executed_cycles, self.wall_nanos).unwrap_or(0.0)
     }
 
     /// Labels of cells that hit the cycle bound without completing.
@@ -243,14 +242,6 @@ impl From<io::Error> for CampaignError {
     }
 }
 
-/// What one executed miss produced (pool task result). The payloads
-/// are boxed so the enum stays small next to `Failed`.
-enum MissResult {
-    Ran { record: Box<CellRecord>, fresh: Box<ExperimentResult>, wall_nanos: u64 },
-    Failed(SimError),
-    Panicked(String),
-}
-
 /// Executes a campaign: cache resolution, pooled execution, canonical
 /// merge, artifact emission.
 ///
@@ -260,11 +251,12 @@ enum MissResult {
 /// canonical order) and on artifact/cache I/O failures. Cells that
 /// merely hit their cycle bound are *not* errors here; see
 /// [`CampaignReport::incomplete`]. A cell whose execution *panics* is
-/// not an error either: the panic is caught at the pool boundary, the
+/// not an error either: the panic is caught by [`exec::run_cell`], the
 /// cell lands in [`CampaignReport::failed`], and the rest of the
 /// campaign (and its merged artifact) completes without it.
 pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport, CampaignError> {
     let clock = HarnessClock::start();
+    let log = format!("campaign {}", campaign.name);
     let cells: Vec<CellSpec> =
         campaign.matching(opts.filter.as_deref()).into_iter().cloned().collect();
     let cache = opts.cache.as_ref().map(ResultCache::new);
@@ -274,220 +266,100 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
     if let Some(cache) = &cache {
         match cache.gc_stale_tmp() {
             Ok(0) => {}
-            Ok(n) => eprintln!(
-                "campaign {}: collected {n} orphaned .tmp cache file(s)",
-                campaign.name
-            ),
-            Err(e) => eprintln!(
-                "campaign {}: cannot sweep stale .tmp files: {e} (continuing)",
-                campaign.name
-            ),
+            Ok(n) => eprintln!("{log}: collected {n} orphaned .tmp cache file(s)"),
+            Err(e) => eprintln!("{log}: cannot sweep stale .tmp files: {e} (continuing)"),
         }
     }
 
     // Phase 1 — resolve against the cache (sequential: pure I/O).
-    // Corrupt entries are moved to `quarantine/` — inspectable, counted,
-    // and off their content address so the honest re-run can land.
     let mut quarantined = 0usize;
-    let mut resolved: Vec<Option<CellRecord>> = vec![None; cells.len()];
-    if opts.resume {
-        if let Some(cache) = &cache {
-            for (slot, cell) in resolved.iter_mut().zip(&cells) {
-                if !cell.config.cacheable() {
-                    continue;
-                }
-                match cache.load(&cell.config) {
-                    Ok(record) => *slot = Some(record),
-                    Err(CacheMiss::Absent) => {}
-                    Err(CacheMiss::HashMismatch(why) | CacheMiss::Malformed(why)) => {
-                        match cache.quarantine(&cell.config) {
-                            Ok(moved) => {
-                                if moved {
-                                    quarantined += 1;
-                                }
-                                eprintln!(
-                                    "campaign {}: cache entry for `{}` rejected ({why}); \
-                                     quarantined, re-running",
-                                    campaign.name, cell.label
-                                );
-                            }
-                            Err(e) => eprintln!(
-                                "campaign {}: cache entry for `{}` rejected ({why}) but \
-                                 could not be quarantined ({e}); re-running",
-                                campaign.name, cell.label
-                            ),
-                        }
-                    }
-                    Err(CacheMiss::Unreadable(e)) => {
-                        // An I/O error, not corruption: leave the entry.
-                        eprintln!(
-                            "campaign {}: cache entry for `{}` unreadable ({e}); re-running",
-                            campaign.name, cell.label
-                        );
-                    }
-                }
+    let read_cache = cache.as_ref().filter(|_| opts.resume);
+    let mut resolved: Vec<Option<CellRecord>> = cells
+        .iter()
+        .map(|cell| match exec::resolve(read_cache, &cell.config, &log, &cell.label) {
+            Lookup::Hit(record) => Some(*record),
+            Lookup::Miss { quarantined: moved } => {
+                quarantined += usize::from(moved);
+                None
             }
-        }
-    }
+        })
+        .collect();
 
-    // Phase 2 — execute the misses on the work-stealing pool. Distinct
-    // cells with identical configs (fig11 and fig12 share their cell
-    // set; knob sweeps repeat the default point) execute once: the
-    // content hash that addresses the cache also dedupes within a run.
-    // Timeline cells are excluded — each consumer needs a fresh result.
-    let misses: Vec<usize> =
-        (0..cells.len()).filter(|&i| resolved[i].is_none()).collect();
-    let mut owner_of: std::collections::BTreeMap<String, usize> =
-        std::collections::BTreeMap::new();
-    let mut exec_slot: std::collections::BTreeMap<usize, usize> =
-        std::collections::BTreeMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for &i in &misses {
-        if cells[i].config.cacheable() {
-            let hash = cells[i].config.content_hash();
-            if let Some(&slot) = owner_of.get(&hash) {
-                exec_slot.insert(i, slot);
-                continue;
-            }
-            owner_of.insert(hash, unique.len());
-        }
-        exec_slot.insert(i, unique.len());
-        unique.push(i);
-    }
+    // Phase 2 — execute the misses on the pool, one run per distinct
+    // config.
+    let misses = cells.iter().enumerate().filter(|(i, _)| resolved[*i].is_none());
+    let plan = exec::Dedup::plan(misses.map(|(i, cell)| (i, &cell.config)));
     let progress = ProgressSink {
         enabled: opts.progress,
         jsonl: opts.cell_jsonl,
         done: AtomicUsize::new(0), // sync: monotone progress count, see fetch_add below
-        total: unique.len(),
+        total: plan.owners.len(),
         clock,
         // sync: serializes stderr/JSONL emission only; no shared state
         // is guarded, so lock order vs other locks never matters.
         out: Mutex::new(()),
     };
-    for (i, cell) in cells.iter().enumerate() {
-        if let Some(record) = &resolved[i] {
+    for (cell, record) in cells.iter().zip(&resolved) {
+        if let Some(record) = record {
             progress.emit_cached(cell, record);
         }
     }
-    let miss_results: Vec<MissResult> =
-        pool::run_indexed_isolated(unique.len(), opts.workers, |k| {
-        let cell = &cells[unique[k]];
-        match cell.config.to_experiment().run_timed() {
-            Err(error) => MissResult::Failed(error),
-            Ok(fresh) => {
-                let record = CellRecord::from_result(&fresh);
-                let wall_nanos = fresh.wall_nanos.unwrap_or(0);
-                if let Some(cache) = &cache {
-                    if cell.config.cacheable() {
-                        if let Err(e) = cache.store(&cell.config, &record) {
-                            eprintln!(
-                                "campaign: cannot cache `{}`: {e} (continuing)",
-                                cell.label
-                            );
-                        }
-                    }
-                }
-                progress.emit_executed(cell, &record, wall_nanos);
-                MissResult::Ran {
-                    record: Box::new(record),
-                    fresh: Box::new(fresh),
-                    wall_nanos,
-                }
-            }
+    let ran: Vec<Ran> = pool::run_indexed(plan.owners.len(), opts.workers, |slot| {
+        let cell = &cells[plan.owners[slot]];
+        let ran = exec::run_cell(cache.as_ref(), &cell.config, None, &log, &cell.label);
+        if let Ran::Done { record, wall_nanos, .. } = &ran {
+            progress.emit_executed(cell, record, *wall_nanos);
         }
-    })
-    .into_iter()
-    .map(|r| r.unwrap_or_else(MissResult::Panicked))
-    .collect();
+        ran
+    });
 
-    // Phase 3 — merge in canonical order. A dedup group's first cell
-    // (canonically earliest, since `unique` was built in order) owns the
-    // execution; later cells with the same config share its record and
+    // Phase 3 — merge in canonical order. Slots are in canonical order
+    // of their owners, so the first failed slot is the canonically first
+    // failing cell. A slot's owner (canonically first) takes the fresh
+    // result; later cells with the same config share its record and
     // count as cached — they were served without running a simulator.
-    enum SlotState {
-        Ran { record: Box<CellRecord>, fresh: Option<Box<ExperimentResult>>, wall_nanos: u64 },
-        Failed(Option<SimError>),
-        Panicked(String),
-    }
-    let mut slots: Vec<SlotState> = miss_results
-        .into_iter()
-        .map(|r| match r {
-            MissResult::Ran { record, fresh, wall_nanos } => {
-                SlotState::Ran { record, fresh: Some(fresh), wall_nanos }
+    let mut slots = Vec::with_capacity(ran.len());
+    for (slot, ran) in ran.into_iter().enumerate() {
+        slots.push(match ran {
+            Ran::Done { record, fresh, wall_nanos } => Ok((*record, Some(*fresh), wall_nanos)),
+            Ran::Failed(error) => {
+                let label = cells[plan.owners[slot]].label.clone();
+                return Err(CampaignError::Cell { label, error });
             }
-            MissResult::Failed(e) => SlotState::Failed(Some(e)),
-            MissResult::Panicked(reason) => SlotState::Panicked(reason),
-        })
-        .collect();
+            Ran::Panicked(reason) => Err(reason),
+        });
+    }
     let mut outcomes = Vec::with_capacity(cells.len());
     let mut failed: Vec<FailedCell> = Vec::new();
     let mut executed = 0;
-    let mut cached = 0;
     for (i, cell) in cells.into_iter().enumerate() {
-        let hash = cell.config.content_hash();
-        if let Some(record) = resolved[i].take() {
-            cached += 1;
-            outcomes.push(CellOutcome {
-                spec: cell,
-                hash,
-                record,
-                fresh: None,
-                cached: true,
-                wall_nanos: 0,
-            });
-            continue;
-        }
-        let slot = *exec_slot.get(&i).unwrap_or_else(|| {
-            unreachable!("unresolved cell {i} must have an execution slot")
-        });
-        let is_owner = unique[slot] == i;
-        match &mut slots[slot] {
-            SlotState::Ran { record, fresh, wall_nanos } => {
-                if is_owner {
-                    executed += 1;
-                    outcomes.push(CellOutcome {
-                        spec: cell,
-                        hash,
-                        record: record.as_ref().clone(),
-                        fresh: fresh.take().map(|b| *b),
-                        cached: false,
-                        wall_nanos: *wall_nanos,
-                    });
-                } else {
-                    cached += 1;
-                    outcomes.push(CellOutcome {
-                        spec: cell,
-                        hash,
-                        record: record.as_ref().clone(),
-                        fresh: None,
-                        cached: true,
-                        wall_nanos: 0,
-                    });
+        let (record, fresh, cached, wall_nanos) = match resolved[i].take() {
+            Some(record) => (record, None, true, 0),
+            None => match &mut slots[plan.slot(i)] {
+                Ok((record, fresh, wall_nanos)) if plan.is_owner(i) => {
+                    (record.clone(), fresh.take(), false, *wall_nanos)
                 }
-            }
-            SlotState::Failed(error) => {
-                // The owner is canonically first, so the error is still
-                // present when we get here.
-                let error = error.take().unwrap_or_else(|| {
-                    unreachable!("a failed slot is reported at its owner, which merges first")
-                });
-                return Err(CampaignError::Cell { label: cell.label, error });
-            }
-            SlotState::Panicked(reason) => {
+                Ok((record, _, _)) => (record.clone(), None, true, 0),
                 // Every cell sharing the panicked config fails with the
                 // same reason; the merge order keeps the list canonical.
-                failed.push(FailedCell { label: cell.label, reason: reason.clone() });
-            }
-        }
+                Err(reason) => {
+                    failed.push(FailedCell { label: cell.label, reason: reason.clone() });
+                    continue;
+                }
+            },
+        };
+        executed += usize::from(!cached);
+        let hash = cell.config.content_hash();
+        outcomes.push(CellOutcome { spec: cell, hash, record, fresh, cached, wall_nanos });
     }
 
     let report = CampaignReport {
         name: campaign.name.clone(),
-        outcomes,
         workers: opts.workers.max(1),
         resume: opts.resume,
         executed,
-        cached,
+        cached: outcomes.len() - executed,
+        outcomes,
         failed,
         quarantined,
         wall_nanos: clock.elapsed_nanos(),
@@ -495,67 +367,16 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
 
     // Phase 4 — the merged artifact, canonical order, no wall clock.
     if let Some(path) = &opts.merged_out {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = String::new();
-        for line in report.outcomes.iter().map(merged_line) {
-            text.push_str(&line.to_string_compact());
-            text.push('\n');
-        }
-        text.push_str(
-            &merged_footer(&report.name, report.outcomes.len(), report.quarantined)
-                .to_string_compact(),
-        );
-        text.push('\n');
-        std::fs::write(path, text)?;
+        exec::write_artifact(
+            path,
+            report.outcomes.iter().map(|o| {
+                exec::merged_entry_line(&o.spec.label, &o.hash, &o.spec.config, &o.record)
+            }),
+            exec::merged_footer(&report.name, report.outcomes.len(), report.quarantined),
+        )?;
     }
 
     Ok(report)
-}
-
-/// One line of the merged artifact: label, address, full config, full
-/// deterministic record. Everything here is a pure function of the
-/// campaign definition.
-fn merged_line(outcome: &CellOutcome) -> Json {
-    merged_entry_line(
-        &outcome.spec.label,
-        &outcome.hash,
-        &outcome.spec.config,
-        &outcome.record,
-    )
-}
-
-/// The merged-artifact line for one `(label, hash, config, record)`
-/// quadruple — shared by the in-process engine and the service client
-/// (`inpg submit`), so both emit byte-identical artifacts.
-pub fn merged_entry_line(
-    label: &str,
-    hash: &str,
-    config: &crate::cell::CellConfig,
-    record: &CellRecord,
-) -> Json {
-    Json::obj(vec![
-        ("label", Json::Str(label.to_string())),
-        ("hash", Json::Str(hash.to_string())),
-        ("config", config.to_json()),
-        ("record", record.to_json()),
-    ])
-}
-
-/// The merged artifact's trailing footer line: campaign identity, cell
-/// count, and the quarantined-entry count, so a consumer can both
-/// detect truncation (no footer = torn file) and see whether any cache
-/// corruption was encountered while producing the artifact.
-pub fn merged_footer(name: &str, cells: usize, quarantined: usize) -> Json {
-    Json::obj(vec![
-        ("footer", Json::Bool(true)),
-        ("campaign", Json::Str(name.to_string())),
-        ("cells", Json::UInt(cells as u64)),
-        ("quarantined", Json::UInt(quarantined as u64)),
-    ])
 }
 
 /// Serialized progress/telemetry emission (stderr text, stdout JSONL).
@@ -580,16 +401,8 @@ impl ProgressSink {
         let _guard = self.out.lock().unwrap_or_else(|p| p.into_inner());
         if self.enabled {
             let elapsed = self.clock.elapsed_nanos();
-            let eta_s = if done == 0 {
-                0.0
-            } else {
-                elapsed as f64 / 1e9 / done as f64 * (self.total - done) as f64
-            };
-            let cps = if wall_nanos == 0 {
-                0.0
-            } else {
-                record.roi_cycles as f64 * 1e9 / wall_nanos as f64
-            };
+            let eta_s = elapsed as f64 / 1e9 / done as f64 * (self.total - done) as f64;
+            let cps = cycles_per_sec(record.roi_cycles, wall_nanos).unwrap_or(0.0);
             eprintln!(
                 "[{done}/{}] {} {:.0}ms {:.2} Mcyc/s eta {:.0}s",
                 self.total,
@@ -615,11 +428,7 @@ impl ProgressSink {
     /// One telemetry record, completion order: the only place wall time
     /// and simulated throughput appear next to a cell.
     fn write_jsonl(&self, cell: &CellSpec, record: &CellRecord, cached: bool, wall_nanos: u64) {
-        let cps = if wall_nanos == 0 {
-            Json::Null
-        } else {
-            Json::num(record.roi_cycles as f64 * 1e9 / wall_nanos as f64)
-        };
+        let cps = cycles_per_sec(record.roi_cycles, wall_nanos).map_or(Json::Null, Json::num);
         let line = Json::obj(vec![
             ("cell", Json::Str(cell.label.clone())),
             ("hash", Json::Str(cell.config.content_hash())),

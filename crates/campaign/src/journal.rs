@@ -23,11 +23,7 @@ pub fn write(path: &Path, cells: &[CellConfig]) -> io::Result<()> {
     if cells.is_empty() {
         return clear(path);
     }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
+    crate::exec::create_parent_dir(path)?;
     let mut text = String::new();
     for cell in cells {
         text.push_str(&cell.canonical());

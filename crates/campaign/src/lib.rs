@@ -4,9 +4,9 @@
 //! canonical order. Each cell is keyed by a stable content hash of its
 //! full configuration; results live in an on-disk content-addressed
 //! cache, so re-runs are incremental and interrupted campaigns resume
-//! where they stopped. Cache misses execute on a hand-rolled, std-only
-//! work-stealing thread pool, and the merged artifact is emitted in
-//! canonical cell order — a 1-worker run, an N-worker run, and a
+//! where they stopped. Cache misses execute on a std-only thread pool
+//! that claims cells through one atomic cursor, and the merged artifact
+//! is emitted in canonical cell order — a 1-worker run, an N-worker run, and a
 //! warm-cache run produce byte-identical merged output.
 //!
 //! Module map:
@@ -14,9 +14,10 @@
 //! * [`cell`] — cell configs, records, content hashing.
 //! * [`suites`] — the named cell sets (one per paper figure + smoke).
 //! * [`cache`] — the on-disk content-addressed result cache.
-//! * [`deque`] — the work-stealing deques (loom-model-checked).
-//! * [`pool`] — the work-stealing pool built on them.
+//! * [`pool`] — the thread pool: an atomic cursor over cell indices.
 //! * [`admission`] — the round-robin admission queue (loom-model-checked).
+//! * [`exec`] — the cell pipeline shared by engine and daemon: cache
+//!   resolve/quarantine, isolated timed runs, dedup, artifact writing.
 //! * [`engine`] — cache resolution, pooled execution, canonical merge.
 //! * [`clock`] — the only wall-clock site in the crate.
 //! * [`bench_out`] — `BENCH_campaign.json` emission.
@@ -41,8 +42,8 @@ pub mod bench_out;
 pub mod cache;
 pub mod cell;
 pub mod clock;
-pub mod deque;
 pub mod engine;
+pub mod exec;
 pub mod journal;
 pub mod json;
 pub mod pool;

@@ -1,28 +1,27 @@
-//! A hand-rolled, std-only work-stealing thread pool for campaign
-//! cells.
+//! A std-only thread pool for campaign cells.
 //!
-//! The claiming discipline (own deque LIFO, then injector chunk, then
-//! sibling steal FIFO) lives in [`deque::StealDeques`](crate::deque) —
-//! extracted there so the owner-pop vs steal race is model-checkable
-//! under loom. This module owns what is pool-specific: the worker
-//! scope, result slots, and panic isolation. A fig15 16×16-mesh cell
-//! can cost 100× a 2×2 cell, which is why the chunked-claim + steal
-//! balance matters.
+//! Workers claim task indices in canonical order from one shared atomic
+//! cursor. Cells cost from about 10 ms to 13 s, so one `fetch_add` per
+//! claim is noise and per-worker deques, chunked claims and stealing
+//! buy nothing: a worker that finishes early simply claims the next
+//! unclaimed index. This module owns the worker scope and the
+//! claiming; panic isolation is [`run_indexed_isolated`].
 //!
-//! The pool is deliberately order-oblivious: results are written to
-//! their task's slot, and the campaign engine re-emits everything in
-//! canonical cell order, which is what makes 1-worker and N-worker runs
-//! byte-identical downstream. No wall clock in here — timing belongs to
-//! the engine's harness boundary.
+//! The pool is deliberately order-oblivious: results come back indexed
+//! by task, whatever order they finished in, and the campaign engine
+//! re-emits everything in canonical cell order, which is what makes
+//! 1-worker and N-worker runs byte-identical downstream. No wall clock
+//! in here — timing belongs to the harness boundary (`exec::run_cell`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::deque::StealDeques;
+use crate::exec::panic_message;
 
 /// Runs `task(i)` for every `i in 0..n` on `workers` threads, returning
 /// the results indexed by task. `workers` is clamped to `1..=n` (a
-/// zero-cell run spawns nothing).
+/// zero-cell run spawns nothing). A panicking task unwinds out of this
+/// call once every worker has stopped.
 pub fn run_indexed<T, F>(n: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
@@ -32,35 +31,36 @@ where
         return Vec::new();
     }
     let workers = workers.clamp(1, n);
-    // sync: the work mutexes live in StealDeques; slots are a third,
-    // independent family — a worker holds at most one of {injector, one
-    // deque, one slot} at a time (claim, then release, then execute),
-    // so no lock-order cycle exists.
-    let work = StealDeques::new(n, workers);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect(); // sync: see above
+    // sync: Relaxed — `fetch_add` is atomic at any ordering, so every
+    // index is claimed by exactly one worker; results travel back
+    // through the thread joins, never through the cursor.
+    let cursor = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let work = &work;
-            let slots = &slots;
-            let task = &task;
-            scope.spawn(move || {
-                while let Some(index) = work.next_for(me) {
-                    let result = task(index);
-                    *lock_clean(&slots[index]) = Some(result);
-                }
-            });
-        }
+    let claimed: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed); // sync: see `cursor`
+                        if index >= n {
+                            return done;
+                        }
+                        done.push((index, task(index)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     });
 
-    slots
-        .into_iter()
-        .map(|slot| {
-            lock_clean(&slot)
-                .take()
-                .unwrap_or_else(|| unreachable!("every task index is executed exactly once"))
-        })
-        .collect()
+    let mut results: Vec<(usize, T)> = claimed.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(index, _)| index);
+    debug_assert!(results.iter().enumerate().all(|(i, &(index, _))| i == index));
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Like [`run_indexed`], but each task runs under `catch_unwind`: a
@@ -77,27 +77,15 @@ where
     F: Fn(usize) -> T + Sync,
 {
     run_indexed(n, workers, |i| {
-        catch_unwind(AssertUnwindSafe(|| task(i))).map_err(|payload| {
-            payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string())
-        })
+        catch_unwind(AssertUnwindSafe(|| task(i)))
+            .map_err(|payload| panic_message(payload.as_ref()))
     })
-}
-
-/// Locks a mutex; poisoning cannot happen because a panicking task
-/// unwinds through `thread::scope`, aborting the whole campaign before
-/// anyone re-locks.
-fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn executes_every_index_exactly_once() {
@@ -113,13 +101,12 @@ mod tests {
     }
 
     #[test]
-    fn imbalanced_tasks_are_stolen_across_workers() {
+    fn work_spreads_across_workers() {
         // One pathological task plus many cheap ones: with 4 workers the
         // cheap tail must not serialize behind the expensive head. The
         // head task blocks until a sibling has finished a cheap task, so
         // the spread is guaranteed even on a single-CPU machine (where a
-        // busy-loop head can otherwise drain the whole injector inside
-        // its first scheduling quantum).
+        // busy-loop head could otherwise be the only worker scheduled).
         let ran_on: Vec<Mutex<Option<std::thread::ThreadId>>> =
             (0..64).map(|_| Mutex::new(None)).collect();
         let cheap_done = AtomicUsize::new(0);

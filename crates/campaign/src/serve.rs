@@ -45,17 +45,18 @@
 //! as the final reply, and a disconnected client merely loses them.
 
 use crate::admission::Admission;
-use crate::cache::{CacheMiss, ResultCache};
+use crate::cache::ResultCache;
 use crate::cell::{CellConfig, CellRecord};
-use crate::clock::{Deadline, HarnessClock};
+use crate::clock::Deadline;
+use crate::exec::{self, Lookup, Ran};
 use crate::journal;
+use crate::json::Json;
 use crate::protocol::{Notification, Reply, Request, ServiceStatus};
 use inpg_manycore::SimError;
 use inpg_sim::AbortHandle;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -177,9 +178,9 @@ impl Shared {
     }
 
     /// Flips the daemon into draining (idempotent): queued jobs are
-    /// journaled, their clients told to go elsewhere, and the accept
-    /// loop woken by one throwaway connection. Returns how many cells
-    /// were journaled.
+    /// journaled and their clients told to go elsewhere. Returns how
+    /// many cells were journaled. The caller then wakes the accept loop
+    /// with [`wake_accept`](Self::wake_accept).
     fn initiate_drain(&self) -> u64 {
         let jobs = {
             let mut adm = self.admission();
@@ -205,49 +206,32 @@ impl Shared {
         for job in jobs {
             job.finish(Reply::Draining);
         }
+        journaled
+    }
+
+    /// Wakes the blocked accept loop with one throwaway connection, so
+    /// it sees the drain and returns — after which the process may exit
+    /// at any moment.
+    fn wake_accept(&self) {
         if let Err(e) = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)) {
             eprintln!(
                 "serve: cannot wake the accept loop at {}: {e}",
                 self.wake_addr
             );
         }
-        journaled
     }
 
-    /// Cache lookup with quarantine-on-corruption. `Ok(None)` is a
-    /// plain miss.
-    fn cache_load(&self, config: &CellConfig) -> Option<CellRecord> {
-        let cache = self.cache.as_ref()?;
-        if !config.cacheable() {
-            return None;
-        }
-        match cache.load(config) {
-            Ok(record) => Some(record),
-            Err(CacheMiss::Absent) => None,
-            Err(CacheMiss::HashMismatch(why) | CacheMiss::Malformed(why)) => {
-                match cache.quarantine(config) {
-                    Ok(true) => {
-                        // sync: Relaxed — monotone stat counter, not
-                        // an ordering edge; readers tolerate skew.
-                        self.quarantined.fetch_add(1, Ordering::Relaxed);
-                        eprintln!(
-                            "serve: quarantined corrupt cache entry {} ({why})",
-                            config.content_hash()
-                        );
-                    }
-                    Ok(false) => {}
-                    Err(e) => eprintln!(
-                        "serve: corrupt cache entry {} ({why}) could not be quarantined: {e}",
-                        config.content_hash()
-                    ),
+    /// Verified cache lookup; a corrupt entry is quarantined, counted,
+    /// and reported as a miss. `hash` is `config`'s content hash.
+    fn cache_load(&self, config: &CellConfig, hash: &str) -> Option<Box<CellRecord>> {
+        match exec::resolve(self.cache.as_ref(), config, "serve", hash) {
+            Lookup::Hit(record) => Some(record),
+            Lookup::Miss { quarantined } => {
+                if quarantined {
+                    // sync: Relaxed — monotone stat counter, not an
+                    // ordering edge; readers tolerate skew.
+                    self.quarantined.fetch_add(1, Ordering::Relaxed);
                 }
-                None
-            }
-            Err(CacheMiss::Unreadable(e)) => {
-                eprintln!(
-                    "serve: cache entry {} unreadable ({e}); re-running",
-                    config.content_hash()
-                );
                 None
             }
         }
@@ -269,11 +253,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     let listener = TcpListener::bind(&opts.addr)?;
     let bound = listener.local_addr()?;
     if let Some(path) = &opts.addr_file {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
+        exec::create_parent_dir(path)?;
         std::fs::write(path, format!("{bound}\n"))?;
     }
     sig::install();
@@ -323,10 +303,10 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     );
 
     // The accept loop blocks in `accept`, so a waiting client is taken
-    // at once. Every drain (a shutdown request on a handler thread, a
-    // signal seen by the timer thread) ends with a throwaway connection
-    // that wakes it; that connection, like any other racing the drain,
-    // is dropped unanswered.
+    // at once. Every drain (a shutdown request on a handler thread,
+    // once answered; a signal seen by the timer thread) ends with a
+    // throwaway connection that wakes it; that connection, like any
+    // other racing the drain, is dropped unanswered.
     let mut next_conn_id: u64 = 1;
     loop {
         let stream = match listener.accept() {
@@ -397,7 +377,7 @@ fn replay_journal(shared: &Arc<Shared>) {
             let mut adm = shared.admission();
             for config in cells {
                 // Served from cache if a sibling already finished it.
-                if let Some(_record) = shared.cache_load(&config) {
+                if let Some(_record) = shared.cache_load(&config, &config.content_hash()) {
                     // sync: Relaxed — monotone stat counter.
                     shared.hits.fetch_add(1, Ordering::Relaxed);
                     continue;
@@ -429,26 +409,34 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
             Ok(Request::Ping) => Reply::Pong,
             Ok(Request::Status) => Reply::Status(shared.status()),
             Ok(Request::Shutdown) => {
-                Reply::ShuttingDown { journaled: shared.initiate_drain() }
+                let reply = Reply::ShuttingDown { journaled: shared.initiate_drain() };
+                // Answer before waking the accept loop: once it returns,
+                // the process can exit before this thread writes.
+                let _ = write_line(&mut writer, &reply.to_json());
+                shared.wake_accept();
+                return;
             }
             Ok(Request::Submit { config, deadline_ms }) => {
                 handle_submit(shared, config, deadline_ms, conn_id, &mut writer)
             }
         };
-        let out = reply.to_json().to_string_compact() + "\n";
-        if writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_err() {
+        if write_line(&mut writer, &reply.to_json()).is_err() {
             return;
         }
     }
+}
+
+/// Writes one protocol line (a reply or a progress note) and flushes.
+fn write_line(writer: &mut impl Write, line: &Json) -> io::Result<()> {
+    writer.write_all((line.to_string_compact() + "\n").as_bytes())?;
+    writer.flush()
 }
 
 /// Writes one progress-note line. Best-effort by design: the note is
 /// advisory, so a failed write is reported to the caller only so it can
 /// stop bothering a dead socket.
 fn write_note(writer: &mut impl Write, note: &Notification) -> io::Result<()> {
-    let line = note.to_json().to_string_compact() + "\n";
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
+    write_line(writer, &note.to_json())
 }
 
 /// The submit path: cache hit inline (one reply line, no notes), miss
@@ -461,18 +449,13 @@ fn handle_submit(
     conn_id: u64,
     writer: &mut impl Write,
 ) -> Reply {
-    if let Some(record) = shared.cache_load(&config) {
+    let hash = config.content_hash();
+    if let Some(record) = shared.cache_load(&config, &hash) {
         shared.hits.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
-        return Reply::Result {
-            hash: config.content_hash(),
-            record: Box::new(record),
-            cached: true,
-            wall_nanos: 0,
-        };
+        return Reply::Result { hash, record, cached: true, wall_nanos: 0 };
     }
 
     let deadline = deadline_ms.or(shared.opts.default_deadline_ms).map(Deadline::after_ms);
-    let hash = config.content_hash();
     let (tx, rx) = mpsc::channel();
     let ahead = {
         let mut adm = shared.admission();
@@ -488,7 +471,7 @@ fn handle_submit(
         }
         let ahead = adm.queued() as u64;
         adm.push(conn_id, Job { config, deadline, events: tx });
-        self::notify_one(shared);
+        shared.work_ready.notify_one();
         ahead
     };
     // The queued note is written outside the admission lock: socket I/O
@@ -510,10 +493,6 @@ fn handle_submit(
             }
         }
     }
-}
-
-fn notify_one(shared: &Shared) {
-    shared.work_ready.notify_one();
 }
 
 /// A resident worker: pop round-robin, honor deadlines, run, store,
@@ -538,20 +517,22 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let hash = job.config.content_hash();
         let _ = job.events.send(JobEvent::Note(Notification::Running { hash: hash.clone() }));
-        let reply = run_job(shared, &job);
+        let reply = run_job(shared, &job, &hash);
         if let Reply::Result { wall_nanos, cached: false, .. } = &reply {
             let _ = job
                 .events
                 .send(JobEvent::Note(Notification::Done { hash, wall_nanos: *wall_nanos }));
         }
+        // Leave the in-flight count before replying, so a client that
+        // has its answer never sees its own job still counted.
+        shared.admission().in_flight -= 1;
         job.finish(reply);
-        let mut adm = shared.admission();
-        adm.in_flight -= 1;
     }
 }
 
-/// Executes one job with deadline enforcement and panic isolation.
-fn run_job(shared: &Arc<Shared>, job: &Job) -> Reply {
+/// Executes one job through [`exec::run_cell`] (which isolates panics)
+/// with deadline enforcement; `hash` is the job config's content hash.
+fn run_job(shared: &Arc<Shared>, job: &Job, hash: &str) -> Reply {
     if let Some(deadline) = job.deadline {
         if deadline.expired() {
             shared.timeouts.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
@@ -573,10 +554,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Reply {
         id
     });
 
-    let clock = HarnessClock::start();
-    let experiment = job.config.to_experiment().abort_on(abort);
-    let outcome = catch_unwind(AssertUnwindSafe(move || experiment.run()));
-    let wall_nanos = clock.elapsed_nanos();
+    let ran = exec::run_cell(shared.cache.as_ref(), &job.config, Some(abort), "serve", hash);
 
     if let Some(id) = registration {
         shared
@@ -586,28 +564,12 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Reply {
             .remove(&id);
     }
 
-    match outcome {
-        Ok(Ok(fresh)) => {
+    match ran {
+        Ran::Done { record, wall_nanos, .. } => {
             shared.misses.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
-            let record = CellRecord::from_result(&fresh);
-            if let Some(cache) = &shared.cache {
-                if job.config.cacheable() {
-                    if let Err(e) = cache.store(&job.config, &record) {
-                        eprintln!(
-                            "serve: cannot cache {}: {e} (continuing)",
-                            job.config.content_hash()
-                        );
-                    }
-                }
-            }
-            Reply::Result {
-                hash: job.config.content_hash(),
-                record: Box::new(record),
-                cached: false,
-                wall_nanos,
-            }
+            Reply::Result { hash: hash.to_string(), record, cached: false, wall_nanos }
         }
-        Ok(Err(SimError::Aborted { cycle })) => {
+        Ran::Failed(SimError::Aborted { cycle }) => {
             shared.timeouts.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
             Reply::Timeout {
                 detail: format!(
@@ -616,15 +578,8 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Reply {
                 ),
             }
         }
-        Ok(Err(e)) => Reply::Failed { detail: e.to_string() },
-        Err(payload) => {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Reply::Failed { detail: format!("cell panicked: {detail}") }
-        }
+        Ran::Failed(e) => Reply::Failed { detail: e.to_string() },
+        Ran::Panicked(detail) => Reply::Failed { detail: format!("cell panicked: {detail}") },
     }
 }
 
@@ -638,6 +593,7 @@ fn deadline_timer_loop(shared: &Arc<Shared>) {
         std::thread::sleep(Duration::from_millis(5));
         if sig::termed() && !shared.admission().draining {
             let journaled = shared.initiate_drain();
+            shared.wake_accept();
             eprintln!("serve: signal received; draining ({journaled} cell(s) journaled)");
         }
         {

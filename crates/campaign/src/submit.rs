@@ -5,7 +5,7 @@
 //! in-process engine would write: the daemons return canonical
 //! [`CellRecord`]s, the client merges them in canonical (definition)
 //! order through the exact helpers the engine uses
-//! ([`engine::merged_entry_line`], [`engine::merged_footer`]), and no
+//! ([`exec::merged_entry_line`], [`exec::merged_footer`]), and no
 //! wall-clock reading ever reaches the artifact.
 //!
 //! Fault handling mirrors the daemon's robustness contract:
@@ -25,9 +25,9 @@
 use crate::cell::{Campaign, CellRecord, CellSpec};
 use crate::clock::HarnessClock;
 use crate::engine;
+use crate::exec::{self, Dedup};
 use crate::pool;
 use crate::protocol::{Notification, Reply, Request, ServerLine, ServiceStatus};
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -246,14 +246,6 @@ pub fn shutdown(source: &AddrSource) -> io::Result<u64> {
     }
 }
 
-/// What one cell's service round produced: the record, whether the
-/// *answering request* was a cache hit, and the client-measured latency.
-struct CellReply {
-    record: CellRecord,
-    cached: bool,
-    latency_nanos: u64,
-}
-
 /// Renders one daemon progress note on stderr, labelled with the cell
 /// it is about.
 fn render_note(label: &str, note: &Notification) {
@@ -273,7 +265,7 @@ fn submit_cell(
     opts: &SubmitOptions,
     spec: &CellSpec,
     shard: usize,
-) -> Result<CellReply, String> {
+) -> Result<CellResolution, String> {
     let mut failovers = 0usize;
     for attempt in 0..opts.max_attempts.max(1) {
         let source = &opts.daemons[(shard + failovers) % opts.daemons.len()];
@@ -294,10 +286,10 @@ fn submit_cell(
         });
         match outcome {
             Ok(Reply::Result { record, cached, .. }) => {
-                return Ok(CellReply {
+                return Ok(CellResolution {
                     record: *record,
                     cached,
-                    latency_nanos: clock.elapsed_nanos(),
+                    latency_nanos: Some(clock.elapsed_nanos()),
                 })
             }
             Ok(Reply::Timeout { detail }) => return Err(format!("timeout: {detail}")),
@@ -327,7 +319,7 @@ fn submit_cell(
 }
 
 /// One cell resolved through the daemons.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CellResolution {
     pub record: CellRecord,
     /// Whether this run served the cell without executing a simulator:
@@ -359,29 +351,15 @@ pub fn run_cells(
         )));
     }
 
-    // The engine's dedup scheme: identical configs round-trip once and
-    // share the reply (the daemon's cache would dedupe them anyway, but
-    // not the wire round-trips). Non-cacheable cells each submit.
-    let mut owner_of: BTreeMap<String, usize> = BTreeMap::new();
-    let mut exec_slot: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        if cell.config.cacheable() {
-            let hash = cell.config.content_hash();
-            if let Some(&slot) = owner_of.get(&hash) {
-                exec_slot.insert(i, slot);
-                continue;
-            }
-            owner_of.insert(hash, unique.len());
-        }
-        exec_slot.insert(i, unique.len());
-        unique.push(i);
-    }
+    // Identical configs round-trip once and share the reply (the
+    // daemon's cache would dedupe them anyway, but not the wire round
+    // trips).
+    let plan = Dedup::plan(cells.iter().map(|cell| &cell.config).enumerate());
 
     let done = AtomicUsize::new(0); // sync: monotone progress count, see fetch_add below
-    let replies: Vec<Result<CellReply, String>> =
-        pool::run_indexed(unique.len(), opts.workers, |k| {
-            let spec = &cells[unique[k]];
+    let replies: Vec<Result<CellResolution, String>> =
+        pool::run_indexed(plan.owners.len(), opts.workers, |slot| {
+            let spec = &cells[plan.owners[slot]];
             // Shard by content hash so co-operating daemons fill
             // disjoint slices of the shared cache.
             let shard = u64::from_str_radix(&spec.config.content_hash(), 16)
@@ -394,12 +372,14 @@ pub fn run_cells(
                 match &reply {
                     Ok(r) => eprintln!(
                         "[{n}/{}] {} {} {:.3}ms",
-                        unique.len(),
+                        plan.owners.len(),
                         spec.label,
                         if r.cached { "hit" } else { "ran" },
-                        r.latency_nanos as f64 / 1e6,
+                        r.latency_nanos.unwrap_or(0) as f64 / 1e6,
                     ),
-                    Err(e) => eprintln!("[{n}/{}] {} ERROR {e}", unique.len(), spec.label),
+                    Err(e) => {
+                        eprintln!("[{n}/{}] {} ERROR {e}", plan.owners.len(), spec.label)
+                    }
                 }
             }
             reply
@@ -408,10 +388,7 @@ pub fn run_cells(
     // Reassemble in input order; fail on the first error in that order.
     let mut resolutions = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
-        let slot = *exec_slot.get(&i).unwrap_or_else(|| {
-            unreachable!("cell {i} was never given an execution slot")
-        });
-        let reply = match &replies[slot] {
+        let reply = match &replies[plan.slot(i)] {
             Ok(reply) => reply,
             Err(detail) => {
                 return Err(SubmitError::Cell {
@@ -420,12 +397,11 @@ pub fn run_cells(
                 })
             }
         };
-        let is_owner = unique[slot] == i;
-        resolutions.push(CellResolution {
-            record: reply.record.clone(),
+        resolutions.push(if plan.is_owner(i) {
+            reply.clone()
+        } else {
             // A dedup sibling is served by the owner's round trip.
-            cached: reply.cached || !is_owner,
-            latency_nanos: is_owner.then_some(reply.latency_nanos),
+            CellResolution { record: reply.record.clone(), cached: true, latency_nanos: None }
         });
     }
     Ok(resolutions)
@@ -466,7 +442,7 @@ pub fn run_campaign(
             // A dedup sibling: served by the owner's round trip.
             None => hits += 1,
         }
-        lines.push(engine::merged_entry_line(
+        lines.push(exec::merged_entry_line(
             &cell.label,
             &cell.config.content_hash(),
             &cell.config,
@@ -496,22 +472,11 @@ pub fn run_campaign(
     };
 
     if let Some(path) = &opts.merged_out {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = String::new();
-        for line in &lines {
-            text.push_str(&line.to_string_compact());
-            text.push('\n');
-        }
-        text.push_str(
-            &engine::merged_footer(&report.name, report.cells, report.quarantined as usize)
-                .to_string_compact(),
-        );
-        text.push('\n');
-        std::fs::write(path, text)?;
+        exec::write_artifact(
+            path,
+            lines,
+            exec::merged_footer(&report.name, report.cells, report.quarantined as usize),
+        )?;
     }
 
     Ok(report)

@@ -1,16 +1,14 @@
-//! Exhaustive interleaving checks for the campaign's two shared
-//! structures, run under the vendored loom shim:
+//! Exhaustive interleaving checks for the campaign's round-robin
+//! admission queue, run under the vendored loom shim:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test --release -p inpg-campaign --test loom
 //! ```
 //!
-//! Under `--cfg loom`, [`inpg_campaign::deque`] switches its mutexes to
-//! `loom::sync::Mutex`, so the *production* claiming code runs under
-//! the model scheduler — these are not reimplementations of the logic
-//! under test. The admission queue needs no switch: it is a plain
-//! structure guarded by whatever mutex the caller provides, and here
-//! that is a modeled one.
+//! The admission queue is a plain structure guarded by whatever mutex
+//! the caller provides; here that is a modeled one, so the production
+//! queue code runs under the model scheduler — these are not
+//! reimplementations of the logic under test.
 //!
 //! Models are deliberately tiny (2–3 threads, a handful of operations):
 //! the shim explores the schedule tree exhaustively with no
@@ -20,51 +18,10 @@
 
 #![cfg(loom)]
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use inpg_campaign::admission::Admission;
-use inpg_campaign::deque::StealDeques;
 use loom::sync::Mutex;
-
-/// The race the deques exist to survive: the owner LIFO-pops its own
-/// deque while a sibling FIFO-steals from the same deque's other end.
-/// On every interleaving, each task index must be claimed exactly once
-/// and nothing may be lost — the pool writes each result into a
-/// dedicated slot, so a double claim would double-execute a cell and a
-/// lost index would leave a slot empty (`unreachable!` in the engine).
-#[test]
-fn owner_pop_and_sibling_steal_claim_each_index_exactly_once() {
-    loom::model(|| {
-        // 4 tasks, 2 workers → chunk = ceil(ceil(4/2)/4) = 1, so worker
-        // 0's claims pull one index at a time and the injector stays
-        // contended for the whole model.
-        let work = Arc::new(StealDeques::new(4, 2));
-        let w = Arc::clone(&work);
-        let thief = loom::thread::spawn(move || {
-            let mut got = Vec::new();
-            // Worker 1 never claims from the injector in this model: it
-            // only steals, maximizing overlap with worker 0's pops.
-            while let Some(i) = w.steal(1) {
-                got.push(i);
-            }
-            got
-        });
-        let mut own = Vec::new();
-        while let Some(i) = work.next_for(0) {
-            own.push(i);
-        }
-        let stolen = thief.join().unwrap();
-
-        let mut all = own.clone();
-        all.extend(stolen.iter().copied());
-        let unique: BTreeSet<usize> = all.iter().copied().collect();
-        assert_eq!(unique.len(), all.len(), "an index was claimed twice: {all:?}");
-        // The owner drains the injector even if the thief exits early,
-        // so together they always account for every index.
-        assert_eq!(unique, (0..4).collect(), "an index was lost: {all:?}");
-    });
-}
 
 /// Round-robin admission under concurrent submitters and a draining
 /// worker. On every interleaving: nothing is lost or duplicated,

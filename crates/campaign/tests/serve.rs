@@ -236,6 +236,58 @@ fn a_cell_over_its_deadline_times_out_without_wedging_the_pool() {
 }
 
 #[test]
+fn a_cell_that_panics_is_a_failed_reply_and_frees_its_worker() {
+    let dir = scratch("panic");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "1"],
+    );
+    daemon.wait_ready();
+    let addr = daemon.source().resolve().unwrap();
+
+    // An unknown benchmark panics while the experiment is built; the
+    // single worker must answer it as a failed cell and survive.
+    let reply = submit::request(
+        &addr,
+        &Request::Submit {
+            config: CellConfig::benchmark("no-such-benchmark"),
+            deadline_ms: None,
+        },
+    )
+    .expect("submit poisoned cell");
+    match reply {
+        Reply::Failed { detail } => {
+            assert!(detail.contains("no-such-benchmark"), "detail names the benchmark: {detail}");
+        }
+        other => panic!("expected a failed reply, got {other:?}"),
+    }
+    match submit::request(&addr, &Request::Status).expect("status") {
+        Reply::Status(status) => assert_eq!(status.in_flight, 0, "{status:?}"),
+        other => panic!("expected status, got {other:?}"),
+    }
+
+    // The worker is still there: a valid miss submitted next is served.
+    let config = quick_cell(Mechanism::Original, 2);
+    let reply = submit::request(
+        &addr,
+        &Request::Submit { config: config.clone(), deadline_ms: Some(60_000) },
+    )
+    .expect("submit valid cell");
+    match reply {
+        Reply::Result { hash, cached, .. } => {
+            assert_eq!(hash, config.content_hash());
+            assert!(!cached, "first execution cannot be a hit");
+        }
+        other => panic!("the worker died with the panic: expected a result, got {other:?}"),
+    }
+
+    daemon.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn overflowing_the_admission_queue_is_shed_with_retry_after() {
     let dir = scratch("backpressure");
     let mut daemon = Daemon::spawn(

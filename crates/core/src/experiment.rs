@@ -259,23 +259,6 @@ impl Experiment {
         self
     }
 
-    /// Like [`run`](Self::run), but measures the wall-clock time the
-    /// run took and attaches it to the result, so
-    /// [`ExperimentResult::sim_cycles_per_sec`] reports the simulator's
-    /// throughput. This is the harness boundary: the simulator itself
-    /// never reads a wall clock (determinism depends on that), only the
-    /// code that invokes it does.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`run`](Self::run).
-    pub fn run_timed(self) -> Result<ExperimentResult, SimError> {
-        let start = std::time::Instant::now();
-        let mut result = self.run()?;
-        result.attach_wall_nanos(start.elapsed().as_nanos() as u64);
-        Ok(result)
-    }
-
     /// Builds the system and runs it to completion.
     ///
     /// # Errors
@@ -333,7 +316,7 @@ impl Experiment {
         if let Some(handle) = self.abort {
             system.set_abort(handle);
         }
-        let run = system.run_checked()?;
+        let run = system.run()?;
         Ok(ExperimentResult::collect(
             name,
             self.mechanism,
@@ -443,11 +426,6 @@ pub struct ExperimentResult {
     pub per_thread: Vec<PhaseCounters>,
     /// Phase timeline, when recorded.
     pub timeline: Option<Timeline>,
-    /// Wall-clock nanoseconds the run took, measured and attached by
-    /// the harness ([`Experiment::run_timed`] or the campaign engine) —
-    /// the simulator itself never reads a wall clock. `None` when the
-    /// run was not timed.
-    pub wall_nanos: Option<u64>,
 }
 
 impl ExperimentResult {
@@ -515,23 +493,7 @@ impl ExperimentResult {
             home,
             per_thread,
             timeline: system.timeline().cloned(),
-            wall_nanos: None,
         }
-    }
-
-    /// Attaches the wall-clock duration of the run, in nanoseconds.
-    /// Called by the harness that timed the run; enables
-    /// [`sim_cycles_per_sec`](Self::sim_cycles_per_sec).
-    pub fn attach_wall_nanos(&mut self, nanos: u64) {
-        self.wall_nanos = Some(nanos);
-    }
-
-    /// Simulated-cycles-per-second throughput: how many simulated
-    /// cycles the host retired per wall-clock second. `None` when the
-    /// run was not timed (or took less than a measurable instant).
-    pub fn sim_cycles_per_sec(&self) -> Option<f64> {
-        let nanos = self.wall_nanos.filter(|&n| n > 0)?;
-        Some(self.roi_cycles as f64 * 1e9 / nanos as f64)
     }
 
     /// Mean critical-section access time (COH + CSE), the quantity
@@ -707,36 +669,6 @@ mod tests {
         assert!(with_handle.completed);
         assert_eq!(with_handle.roi_cycles, without.roi_cycles);
         assert_eq!(with_handle.cs_count, without.cs_count);
-    }
-
-    #[test]
-    fn run_timed_attaches_throughput() {
-        let programs = (0..4)
-            .map(|_| ThreadProgram::new().rounds(1, 40, LockId::new(0), 20))
-            .collect();
-        let r = Experiment::custom("timed", programs, 1)
-            .mesh(2, 2)
-            .max_cycles(1_000_000)
-            .run_timed()
-            .expect("valid experiment");
-        assert!(r.completed);
-        let wall = r.wall_nanos.expect("wall time attached");
-        assert!(wall > 0);
-        let cps = r.sim_cycles_per_sec().expect("throughput derivable");
-        assert!(cps > 0.0);
-        assert!((cps - r.roi_cycles as f64 * 1e9 / wall as f64).abs() < 1e-6);
-
-        // Untimed runs carry no wall clock and report no throughput.
-        let programs = (0..4)
-            .map(|_| ThreadProgram::new().rounds(1, 40, LockId::new(0), 20))
-            .collect();
-        let r = Experiment::custom("untimed", programs, 1)
-            .mesh(2, 2)
-            .max_cycles(1_000_000)
-            .run()
-            .expect("valid experiment");
-        assert_eq!(r.wall_nanos, None);
-        assert_eq!(r.sim_cycles_per_sec(), None);
     }
 
     #[test]

@@ -30,12 +30,12 @@ pub struct SystemConfig {
     pub record_timeline: bool,
     /// Forward-progress watchdog: abort with a structured stall report
     /// when no event retires for this many consecutive cycles. `None`
-    /// disables the watchdog. Only honoured by
-    /// [`System::run_checked`](crate::System::run_checked).
+    /// disables the watchdog. Armed by
+    /// [`System::run`](crate::System::run).
     pub watchdog_cycles: Option<u64>,
     /// Run the protocol invariant checker every this many cycles.
-    /// `None` disables checking. Only honoured by
-    /// [`System::run_checked`](crate::System::run_checked).
+    /// `None` disables checking. Run by
+    /// [`System::run`](crate::System::run).
     pub invariant_check_interval: Option<u64>,
     /// Arm the fault-recovery layer: timeout-based retransmission of
     /// wedged exclusive transactions with exponential backoff, plus

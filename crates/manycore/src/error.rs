@@ -1,7 +1,7 @@
 //! Typed simulation errors: configuration problems, watchdog stalls, and
 //! protocol invariant violations.
 //!
-//! [`System::run_checked`](crate::System::run_checked) returns these
+//! [`System::run`](crate::System::run) returns these
 //! instead of silently spinning to `max_cycles` when the machine wedges,
 //! so a coherence bug (say, a lost `InvAck`) surfaces as a structured
 //! report naming the culprit line and cycle rather than as a hung run.

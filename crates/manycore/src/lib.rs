@@ -17,10 +17,10 @@
 //!     .map(|_| ThreadProgram::new().compute(50).critical(LockId::new(0), 20))
 //!     .collect();
 //! let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved)?;
-//! let result = system.run();
+//! let result = system.run()?;
 //! assert!(result.completed);
 //! assert_eq!(system.cs_completed(), 16);
-//! # Ok::<(), inpg_sim::ConfigError>(())
+//! # Ok::<(), inpg_manycore::SimError>(())
 //! ```
 
 pub mod config;

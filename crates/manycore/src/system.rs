@@ -49,7 +49,7 @@ pub struct System {
     /// (`INPG_TRACE_CORE`, debugging aid; read once at construction).
     trace_core: Option<usize>,
     /// Cooperative abort flag installed by the harness (deadline or
-    /// shutdown); polled coarsely inside [`run_checked`](Self::run_checked).
+    /// shutdown); polled coarsely inside [`run`](Self::run).
     /// Lives on the system, not the config: [`SystemConfig`] is pure
     /// comparable data, while this is shared runtime state.
     abort: Option<inpg_sim::AbortHandle>,
@@ -173,7 +173,7 @@ impl System {
     }
 
     /// Installs a cooperative abort flag. When another thread raises
-    /// it, [`run_checked`](Self::run_checked) winds down with
+    /// it, [`run`](Self::run) winds down with
     /// [`SimError::Aborted`] at its next poll point (every 1024 cycles).
     /// A run that completes before the flag is raised is byte-identical
     /// to one executed without a handle — the simulator only ever reads
@@ -200,19 +200,6 @@ impl System {
     /// Whether every thread has finished.
     pub fn all_done(&self) -> bool {
         self.cores.iter().all(CoreModel::is_done)
-    }
-
-    /// Advances the machine one cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a protocol violation; the checked run path uses
-    /// [`try_tick`](Self::try_tick) and surfaces it as a
-    /// [`SimError::Protocol`] instead.
-    pub fn tick(&mut self) {
-        if let Err(e) = self.try_tick() {
-            panic!("{e}");
-        }
     }
 
     /// Advances the machine one cycle, surfacing protocol violations
@@ -335,38 +322,23 @@ impl System {
         self.outbox = outbox;
     }
 
-    /// Runs until every thread finishes or `max_cycles` elapse.
-    pub fn run(&mut self) -> RunResult {
-        while !self.all_done() && self.now.as_u64() < self.cfg.max_cycles {
-            self.tick();
-        }
-        RunResult { cycles: self.now.as_u64(), completed: self.all_done() }
-    }
-
-    /// Runs for exactly `cycles` more cycles (or until done).
-    pub fn run_for(&mut self, cycles: u64) -> RunResult {
-        let end = self.now.as_u64() + cycles;
-        while !self.all_done() && self.now.as_u64() < end {
-            self.tick();
-        }
-        RunResult { cycles: self.now.as_u64(), completed: self.all_done() }
-    }
-
-    /// Runs like [`run`](Self::run) but with the robustness subsystem
-    /// armed per the configuration: the forward-progress watchdog
-    /// ([`SystemConfig::watchdog_cycles`]) aborts a wedged run with a
-    /// structured [`StallReport`], and the protocol invariant checker
+    /// Runs until every thread finishes or `max_cycles` elapse, with the
+    /// robustness subsystem armed per the configuration: the
+    /// forward-progress watchdog ([`SystemConfig::watchdog_cycles`])
+    /// aborts a wedged run with a structured [`StallReport`], and the
+    /// protocol invariant checker
     /// ([`SystemConfig::invariant_check_interval`]) aborts on the first
     /// [`InvariantViolation`] naming the culprit line and cycle.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Stall`] when the progress metric freezes for a
-    /// full watchdog window, [`SimError::Invariant`] when a periodic
-    /// check finds the machine in an impossible state, and
+    /// Returns [`SimError::Protocol`] when a delivered message violates
+    /// the protocol, [`SimError::Stall`] when the progress metric
+    /// freezes for a full watchdog window, [`SimError::Invariant`] when
+    /// a periodic check finds the machine in an impossible state, and
     /// [`SimError::Aborted`] when an installed
     /// [abort handle](Self::set_abort) is raised mid-run.
-    pub fn run_checked(&mut self) -> Result<RunResult, SimError> {
+    pub fn run(&mut self) -> Result<RunResult, SimError> {
         let mut watchdog = self.cfg.watchdog_cycles.map(Watchdog::new);
         let interval = self.cfg.invariant_check_interval;
         while !self.all_done() && self.now.as_u64() < self.cfg.max_cycles {

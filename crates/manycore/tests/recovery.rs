@@ -74,7 +74,7 @@ fn first_wedging_ack_ordinal() -> u64 {
         let cfg = inpg_cfg(LockPrimitive::Ticket);
         let mut system =
             ticket_system(cfg, FaultPlan::none().with(FaultKind::DropAck { nth }));
-        if system.run_checked().is_err() {
+        if system.run().is_err() {
             return nth;
         }
     }
@@ -90,11 +90,11 @@ fn wedging_recoverable_request_ordinal() -> u64 {
     for nth in 1..=64u64 {
         let fault = FaultPlan::none().with(FaultKind::LinkDrop { nth });
         let mut off = tas_system(inpg_cfg(LockPrimitive::Tas), fault.clone());
-        if off.run_checked().is_ok() {
+        if off.run().is_ok() {
             continue;
         }
         let mut on = tas_system(recovering(inpg_cfg(LockPrimitive::Tas), 4), fault);
-        if on.run_checked().is_ok() {
+        if on.run().is_ok() {
             return nth;
         }
     }
@@ -112,7 +112,7 @@ fn canonical_dropped_invack_recovers_with_correct_final_state() {
 
     // Recovery off: the structured abort is unchanged.
     let mut wedged = ticket_system(inpg_cfg(LockPrimitive::Ticket), fault.clone());
-    match wedged.run_checked() {
+    match wedged.run() {
         Err(SimError::Invariant(InvariantViolation::AckConservation { .. }))
         | Err(SimError::Stall(_)) => {}
         other => panic!("recovery-off must abort as in PR 1, got {other:?}"),
@@ -120,7 +120,7 @@ fn canonical_dropped_invack_recovers_with_correct_final_state() {
 
     // The fault-free reference run fixes the expected final state.
     let mut clean = ticket_system(inpg_cfg(LockPrimitive::Ticket), FaultPlan::none());
-    let clean_result = clean.run_checked().expect("fault-free run passes");
+    let clean_result = clean.run().expect("fault-free run passes");
     assert!(clean_result.completed);
     let lock_addr = clean.lock_primary(LockId::new(0));
     let clean_word = clean.read_word(lock_addr);
@@ -129,7 +129,7 @@ fn canonical_dropped_invack_recovers_with_correct_final_state() {
     let cfg = recovering(inpg_cfg(LockPrimitive::Ticket), 4);
     let mut recovered = ticket_system(cfg, fault);
     let result = recovered
-        .run_checked()
+        .run()
         .expect("the canonical dropped-InvAck scenario must complete under recovery");
     assert!(result.completed, "recovered run must terminate");
     assert_eq!(recovered.cs_completed(), 16 * 8, "every lock handoff must complete");
@@ -159,11 +159,11 @@ fn dropped_request_recovers_with_full_handoff_count() {
     let fault = FaultPlan::none().with(FaultKind::LinkDrop { nth });
 
     let mut wedged = tas_system(inpg_cfg(LockPrimitive::Tas), fault.clone());
-    assert!(wedged.run_checked().is_err(), "recovery-off must abort");
+    assert!(wedged.run().is_err(), "recovery-off must abort");
 
     let cfg = recovering(inpg_cfg(LockPrimitive::Tas), 4);
     let mut recovered = tas_system(cfg, fault);
-    let result = recovered.run_checked().expect("link drop must be survived under recovery");
+    let result = recovered.run().expect("link drop must be survived under recovery");
     assert!(result.completed);
     assert_eq!(recovered.cs_completed(), 16 * 4);
     assert_eq!(recovered.noc_stats().requests_dropped_by_fault, 1);
@@ -183,7 +183,7 @@ fn router_failure_degrades_to_pass_through_and_completes() {
         let mut system =
             tas_system(cfg, FaultPlan::none().with(FaultKind::RouterFail { at_cycle: 1_000 }));
         let result = system
-            .run_checked()
+            .run()
             .unwrap_or_else(|e| panic!("recover={recover}: router failure must be survived: {e}"));
         assert!(result.completed, "recover={recover}");
         assert_eq!(system.cs_completed(), 16 * 4, "recover={recover}");
@@ -214,7 +214,7 @@ fn graceful_fault_scenarios_still_complete_with_recovery_armed() {
         let cfg = recovering(inpg_cfg(LockPrimitive::Tas), 4);
         let mut system = tas_system(cfg, faults);
         let result = system
-            .run_checked()
+            .run()
             .unwrap_or_else(|e| panic!("{name}: must stay recoverable with recovery armed: {e}"));
         assert!(result.completed, "{name}");
         assert_eq!(system.cs_completed(), 16 * 4, "{name}");
@@ -236,7 +236,7 @@ fn recovered_runs_are_deterministic() {
         let cfg = recovering(inpg_cfg(LockPrimitive::Ticket), 4);
         let mut system =
             ticket_system(cfg, FaultPlan::none().with(FaultKind::DropAck { nth }));
-        let result = system.run_checked().expect("recovers");
+        let result = system.run().expect("recovers");
         let l1 = system.l1_stats();
         (
             result.cycles,
@@ -270,7 +270,7 @@ proptest! {
             .with(FaultKind::DropAck { nth });
         let mut system = ticket_system(cfg, faults);
         let result = system
-            .run_checked()
+            .run()
             .unwrap_or_else(|e| panic!("nth={nth} seed={seed} budget={budget}: {e}"));
         prop_assert!(result.completed, "nth={nth} seed={seed} budget={budget}");
         prop_assert_eq!(system.cs_completed(), 16 * 8);

@@ -59,7 +59,7 @@ fn first_wedging_ack_ordinal() -> u64 {
     for nth in 1..=64u64 {
         let mut system =
             ticket_system(FaultPlan::none().with(FaultKind::DropAck { nth }), None, Some(64));
-        if system.run_checked().is_err() {
+        if system.run().is_err() {
             return nth;
         }
     }
@@ -71,7 +71,7 @@ fn dropped_invack_is_caught_by_the_invariant_checker() {
     let nth = first_wedging_ack_ordinal();
     let mut system =
         ticket_system(FaultPlan::none().with(FaultKind::DropAck { nth }), None, Some(64));
-    match system.run_checked() {
+    match system.run() {
         Err(SimError::Invariant(InvariantViolation::AckConservation {
             cycle,
             core,
@@ -100,7 +100,7 @@ fn dropped_invack_is_caught_by_the_watchdog() {
     // notice the machine has wedged.
     let mut system =
         ticket_system(FaultPlan::none().with(FaultKind::DropAck { nth }), Some(20_000), None);
-    match system.run_checked() {
+    match system.run() {
         Err(SimError::Stall(report)) => {
             assert_eq!(report.window, 20_000);
             assert!(report.cycle.as_u64() >= 20_000);
@@ -121,7 +121,7 @@ fn clean_run_passes_watchdog_and_invariant_checks() {
     cfg.watchdog_cycles = Some(100_000);
     cfg.invariant_check_interval = Some(128);
     let mut system = wedging_system(cfg);
-    let result = system.run_checked().expect("fault-free run must pass every check");
+    let result = system.run().expect("fault-free run must pass every check");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 16 * 4);
 }
@@ -147,7 +147,7 @@ fn recoverable_fault_scenarios_terminate_with_correct_handoff_counts() {
         cfg.invariant_check_interval = Some(256);
         let mut system = wedging_system(cfg);
         let result = system
-            .run_checked()
+            .run()
             .unwrap_or_else(|e| panic!("{name}: fault scenario must stay recoverable: {e}"));
         assert!(result.completed, "{name}: run must terminate");
         assert_eq!(system.cs_completed(), 16 * 4, "{name}: every lock handoff must complete");
@@ -168,7 +168,7 @@ fn qsl_completes_under_jitter_and_barrier_off() {
         cfg.invariant_check_interval = Some(256);
         let programs = hot_lock_programs(16, 3, 100, 30);
         let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-        let result = system.run_checked().expect("QSL must survive recoverable faults");
+        let result = system.run().expect("QSL must survive recoverable faults");
         assert!(result.completed);
         assert_eq!(system.cs_completed(), 16 * 3);
     }

@@ -57,7 +57,7 @@ fn every_primitive_completes_under_contention() {
         let cfg = small_cfg(primitive);
         let programs = hot_lock_programs(16, 3, 100, 30);
         let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-        let result = system.run();
+        let result = system.run().expect("fault-free run");
         assert!(result.completed, "{primitive} did not finish in {} cycles", result.cycles);
         assert_eq!(system.cs_completed(), 16 * 3, "{primitive}");
         assert_no_cs_overlap(&system);
@@ -70,7 +70,7 @@ fn every_primitive_completes_with_inpg() {
         let cfg = inpg_cfg(primitive);
         let programs = hot_lock_programs(16, 3, 100, 30);
         let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-        let result = system.run();
+        let result = system.run().expect("fault-free run");
         assert!(result.completed, "{primitive}+iNPG did not finish");
         assert_eq!(system.cs_completed(), 16 * 3, "{primitive}+iNPG");
         assert_no_cs_overlap(&system);
@@ -82,7 +82,7 @@ fn qsl_with_ocor_completes() {
     let cfg = small_cfg(LockPrimitive::Qsl).with_ocor(true);
     let programs = hot_lock_programs(16, 3, 50, 20);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 48);
     assert_no_cs_overlap(&system);
@@ -93,7 +93,7 @@ fn inpg_plus_ocor_completes() {
     let cfg = inpg_cfg(LockPrimitive::Qsl).with_ocor(true);
     let programs = hot_lock_programs(16, 3, 50, 20);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 48);
     assert_no_cs_overlap(&system);
@@ -107,13 +107,13 @@ fn inpg_stops_requests_and_reduces_roundtrips_under_tas() {
     let mut baseline =
         System::new(small_cfg(LockPrimitive::Tas), programs.clone(), 1, LockPlacement::At(CoreId::new(5)))
             .unwrap();
-    let base_result = baseline.run();
+    let base_result = baseline.run().expect("fault-free run");
     assert!(base_result.completed);
 
     let mut inpg =
         System::new(inpg_cfg(LockPrimitive::Tas), programs, 1, LockPlacement::At(CoreId::new(5)))
             .unwrap();
-    let inpg_result = inpg.run();
+    let inpg_result = inpg.run().expect("fault-free run");
     assert!(inpg_result.completed);
 
     // The mechanism must actually fire.
@@ -143,7 +143,7 @@ fn deterministic_across_runs() {
         let cfg = small_cfg(LockPrimitive::Mcs);
         let programs = hot_lock_programs(16, 2, 75, 25);
         let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-        let result = system.run();
+        let result = system.run().expect("fault-free run");
         (result.cycles, system.cs_completed(), system.noc_stats().delivered)
     };
     assert_eq!(run(), run());
@@ -162,7 +162,7 @@ fn multiple_locks_interleave() {
         })
         .collect();
     let mut system = System::new(cfg, programs, 3, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 32);
 }
@@ -172,7 +172,7 @@ fn phase_accounting_is_consistent() {
     let cfg = small_cfg(LockPrimitive::Mcs);
     let programs = hot_lock_programs(16, 2, 100, 25);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     for (t, c) in system.thread_counters().iter().enumerate() {
         // Each thread did 2 * 100 parallel cycles.
@@ -192,7 +192,7 @@ fn timeline_matches_counters() {
     cfg.record_timeline = true;
     let programs = hot_lock_programs(16, 2, 100, 25);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     let timeline = system.timeline().expect("timeline enabled");
     let (p, c, s) = timeline.shares(
@@ -237,7 +237,7 @@ fn lock_word_final_state_invariants() {
             let cfg = if big { inpg_cfg(primitive) } else { small_cfg(primitive) };
             let programs = hot_lock_programs(threads, rounds, 60, 20);
             let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-            let result = system.run();
+            let result = system.run().expect("fault-free run");
             assert!(result.completed, "{primitive} big={big}");
             let total = (threads * rounds) as u64;
             let word = system.read_word(system.lock_primary(inpg_sim::LockId::new(0)));
@@ -269,7 +269,7 @@ fn abql_tail_counts_every_acquisition() {
     let cfg = small_cfg(LockPrimitive::Abql);
     let programs = hot_lock_programs(threads, rounds, 60, 20);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    assert!(system.run().completed);
+    assert!(system.run().expect("fault-free run").completed);
     let word = system.read_word(system.lock_primary(inpg_sim::LockId::new(0)));
     assert_eq!(word, (threads * rounds) as u64);
 }
@@ -285,7 +285,7 @@ fn qsl_sleep_path_is_exercised_and_correct() {
     cfg.wakeup_cycles = 80;
     let programs = hot_lock_programs(16, 3, 50, 400);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 48);
     assert_no_cs_overlap(&system);
@@ -303,7 +303,7 @@ fn sleep_time_is_counted_as_competition() {
     cfg.retry_budget = 4;
     let programs = hot_lock_programs(16, 2, 50, 500);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    assert!(system.run().completed);
+    assert!(system.run().expect("fault-free run").completed);
     for (t, c) in system.thread_counters().iter().enumerate() {
         assert!(
             c.sleep_cycles <= c.coh_cycles,
@@ -327,7 +327,7 @@ fn empty_and_mixed_programs_complete() {
         })
         .collect();
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 5 * 2);
     // Threads with empty programs finish at cycle 0.
@@ -343,7 +343,7 @@ fn single_core_degenerate_mesh() {
     cfg.primitive = LockPrimitive::Qsl;
     let programs = vec![ThreadProgram::new().rounds(3, 20, LockId::new(0), 15)];
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 3);
 }
@@ -354,7 +354,7 @@ fn zero_length_critical_sections() {
     let cfg = small_cfg(LockPrimitive::Mcs);
     let programs = hot_lock_programs(16, 3, 25, 0);
     let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
-    let result = system.run();
+    let result = system.run().expect("fault-free run");
     assert!(result.completed);
     assert_eq!(system.cs_completed(), 48);
 }

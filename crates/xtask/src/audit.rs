@@ -54,7 +54,6 @@ pub const SEEDS: &[(&str, &str, &str)] = &[
     ("coherence/src/home.rs", "HomeCore", "process"),
     ("locks/src/machines.rs", "LockHandle", "step"),
     ("locks/src/machines.rs", "LockHandle", "on_result"),
-    ("manycore/src/system.rs", "System", "tick"),
     ("manycore/src/system.rs", "System", "try_tick"),
     ("sim/src/event.rs", "EventWheel", "pop_due"),
     ("sim/src/event.rs", "EventWheel", "next_due"),
@@ -76,7 +75,7 @@ const PANIC_NEEDLES: &[(&str, &str)] = &[
 
 /// Wall-clock needles: the per-cycle path must be deterministic and
 /// syscall-free; time belongs to the harness boundary
-/// (`Experiment::run_timed`).
+/// (`HarnessClock` in `campaign/src/clock.rs`).
 const WALLCLOCK_NEEDLES: &[(&str, &str)] = &[
     ("Instant::now", "wall-clock read (`Instant::now`)"),
     ("SystemTime::now", "wall-clock read (`SystemTime::now`)"),

@@ -2,14 +2,17 @@
 //! harness itself.
 //!
 //! One file accumulates one entry per `(campaign, workers, resume,
-//! cold)` combination — `cold` meaning every cell actually executed —
-//! newest run replacing the previous entry for the same combination,
-//! so a warm rerun never clobbers the cold timing it would be compared
-//! against. Each entry records suite wall time, executed/cached
-//! cell counts, total simulated cycles, suite throughput, per-cell wall
-//! time and throughput, and — when the file also holds a full cold run
-//! of the same campaign at `--workers 1` — the measured speedup over
-//! that single-worker run.
+//! cold, git_rev)` combination — `cold` meaning every cell actually
+//! executed — newest run replacing the previous entry for the same
+//! combination, so a warm rerun never clobbers the cold timing it would
+//! be compared against, and runs of two commits stand side by side as a
+//! before/after pair. Each entry records suite wall time,
+//! executed/cached cell counts, total simulated cycles, suite
+//! throughput, per-cell wall time and throughput, the host facts that
+//! explain them (available parallelism, build profile, commit), and —
+//! when the file also holds a full cold run of the same campaign at
+//! `--workers 1` and commit — the measured speedup over that
+//! single-worker run.
 
 use crate::adaptive::AdaptiveReport;
 use crate::clock::cycles_per_sec;
@@ -23,8 +26,10 @@ use std::path::Path;
 /// Merges `report` into the bench file at `path` (created if absent).
 /// Returns the entry that was written.
 pub fn write_bench_json(path: &Path, report: &CampaignReport) -> io::Result<Json> {
-    // Replace the previous entry for this (campaign, workers, resume, cold).
+    // Replace the previous entry for this (campaign, workers, resume,
+    // cold) at this commit.
     let report_cold = report.executed == report.outcomes.len() && report.executed > 0;
+    let facts = HostFacts::probe();
     merge_run(
         path,
         |r| {
@@ -35,9 +40,56 @@ pub fn write_bench_json(path: &Path, report: &CampaignReport) -> io::Result<Json
                 && r.get("workers").and_then(Json::as_u64) == Some(report.workers as u64)
                 && r.get("resume").and_then(Json::as_bool) == Some(report.resume)
                 && r_cold == report_cold
+                && facts.same_rev(r)
         },
-        |runs| entry_json(report, baseline_wall_ms(runs, report)),
+        |runs| entry_json(report, baseline_wall_ms(runs, report, &facts), &facts),
     )
+}
+
+/// Facts about the host and build that explain a run's numbers.
+#[derive(Debug)]
+struct HostFacts {
+    /// Threads the host offers this process (0 when it cannot tell).
+    available_parallelism: u64,
+    /// The build profile of this binary, as cargo names it.
+    profile: &'static str,
+    /// The checkout's commit, suffixed `-dirty` when tracked files
+    /// differ from it; `None` outside a git checkout.
+    git_rev: Option<String>,
+}
+
+impl HostFacts {
+    fn probe() -> Self {
+        HostFacts {
+            available_parallelism: std::thread::available_parallelism()
+                .map_or(0, |n| n.get() as u64),
+            profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+            git_rev: git_rev(),
+        }
+    }
+
+    fn fields(&self) -> [(&'static str, Json); 3] {
+        [
+            ("available_parallelism", Json::UInt(self.available_parallelism)),
+            ("profile", Json::Str(self.profile.into())),
+            ("git_rev", self.git_rev.clone().map_or(Json::Null, Json::Str)),
+        ]
+    }
+
+    /// Whether bench entry `r` was recorded at this commit.
+    fn same_rev(&self, r: &Json) -> bool {
+        r.get("git_rev").and_then(Json::as_str) == self.git_rev.as_deref()
+    }
+}
+
+/// `git describe --always --dirty` of the current directory's checkout.
+fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()?;
+    let rev = String::from_utf8_lossy(&out.stdout).trim().to_string();
+    (out.status.success() && !rev.is_empty()).then_some(rev)
 }
 
 /// Rewrites the bench file at `path` (created if absent, parent
@@ -71,13 +123,15 @@ fn merge_run(
 }
 
 /// Merges a service-mode (`inpg submit`) run into the bench file at
-/// `path`. Service entries are keyed `(mode: "serve", campaign)` — the
-/// newest run replaces the previous serve entry for the same campaign
-/// and coexists with the in-process engine's `(workers, resume, cold)`
-/// entries, which carry no `mode` field. Returns the entry written.
+/// `path`. Service entries are keyed `(mode: "serve", campaign,
+/// git_rev)` — the newest run replaces the previous serve entry for the
+/// same campaign at the same commit and coexists with the in-process
+/// engine's `(workers, resume, cold, git_rev)` entries, which carry no
+/// `mode` field. Returns the entry written.
 pub fn write_serve_bench_json(path: &Path, report: &SubmitReport) -> io::Result<Json> {
     let quantile = |q: f64| report.hit_latency_ms(q).map_or(Json::Null, Json::num);
-    let entry = Json::obj(vec![
+    let facts = HostFacts::probe();
+    let mut fields = vec![
         ("campaign", Json::Str(report.name.clone())),
         ("mode", Json::Str("serve".into())),
         ("daemons", Json::UInt(report.daemons as u64)),
@@ -91,40 +145,28 @@ pub fn write_serve_bench_json(path: &Path, report: &SubmitReport) -> io::Result<
         // read + reply).
         ("warm_hit_p50_ms", quantile(0.5)),
         ("warm_hit_p99_ms", quantile(0.99)),
-        // Host facts that explain the latencies above.
-        ("available_parallelism", Json::UInt(available_parallelism())),
-        ("profile", Json::Str(build_profile().into())),
-    ]);
+    ];
+    // Host facts that explain the latencies above.
+    fields.extend(facts.fields());
+    let entry = Json::obj(fields);
     merge_run(
         path,
         |r| {
             r.get("mode").and_then(Json::as_str) == Some("serve")
                 && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
+                && facts.same_rev(r)
         },
         |_| entry,
     )
 }
 
-/// Threads the host offers this process (0 when it cannot tell).
-fn available_parallelism() -> u64 {
-    std::thread::available_parallelism().map_or(0, |n| n.get() as u64)
-}
-
-/// The build profile of this binary, as cargo names it.
-fn build_profile() -> &'static str {
-    if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    }
-}
-
-/// Wall time of a prior *full cold* 1-worker run of the same campaign,
-/// the denominator for the reported speedup.
-fn baseline_wall_ms(runs: &[Json], report: &CampaignReport) -> Option<f64> {
+/// Wall time of a prior *full cold* 1-worker run of the same campaign
+/// at the same commit, the denominator for the reported speedup.
+fn baseline_wall_ms(runs: &[Json], report: &CampaignReport, facts: &HostFacts) -> Option<f64> {
     runs.iter()
         .filter(|r| {
-            r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
+            facts.same_rev(r)
+                && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
                 && r.get("workers").and_then(Json::as_u64) == Some(1)
                 && r.get("cells").and_then(Json::as_u64)
                     == r.get("executed").and_then(Json::as_u64)
@@ -134,7 +176,7 @@ fn baseline_wall_ms(runs: &[Json], report: &CampaignReport) -> Option<f64> {
         .next_back()
 }
 
-fn entry_json(report: &CampaignReport, baseline_wall_ms: Option<f64>) -> Json {
+fn entry_json(report: &CampaignReport, baseline_wall_ms: Option<f64>, facts: &HostFacts) -> Json {
     let wall_ms = report.wall_nanos as f64 / 1e6;
     let full_cold = report.executed == report.outcomes.len() && report.executed > 0;
     // Speedups only compare full cold executions; a warm run's wall
@@ -173,7 +215,7 @@ fn entry_json(report: &CampaignReport, baseline_wall_ms: Option<f64>) -> Json {
             ])
         })
         .collect();
-    Json::obj(vec![
+    let mut fields = vec![
         ("campaign", Json::Str(report.name.clone())),
         ("workers", Json::UInt(report.workers as u64)),
         ("resume", Json::Bool(report.resume)),
@@ -185,14 +227,17 @@ fn entry_json(report: &CampaignReport, baseline_wall_ms: Option<f64>) -> Json {
         ("sim_cycles_per_sec", Json::num(report.sim_cycles_per_sec())),
         ("speedup_vs_workers_1", speedup),
         ("speedup_baseline", basis),
-        ("cells_detail", Json::Arr(cells_detail)),
-    ])
+    ];
+    fields.extend(facts.fields());
+    fields.push(("cells_detail", Json::Arr(cells_detail)));
+    Json::obj(fields)
 }
 
 /// Merges an adaptive (`--adaptive`) run into the bench file at `path`.
-/// Adaptive entries are keyed `(mode: "adaptive", campaign, backend)` —
-/// one entry per campaign per backend (`"engine"` for the in-process
-/// pool, `"serve"` for the daemon fleet), newest replacing previous.
+/// Adaptive entries are keyed `(mode: "adaptive", campaign, backend,
+/// git_rev)` — one entry per campaign per backend (`"engine"` for the
+/// in-process pool, `"serve"` for the daemon fleet) per commit, newest
+/// replacing previous.
 /// Returns the entry written.
 pub fn write_adaptive_bench_json(
     path: &Path,
@@ -213,7 +258,8 @@ pub fn write_adaptive_bench_json(
             ])
         })
         .collect();
-    let entry = Json::obj(vec![
+    let facts = HostFacts::probe();
+    let mut fields = vec![
         ("campaign", Json::Str(report.name.clone())),
         ("mode", Json::Str("adaptive".into())),
         ("backend", Json::Str(backend.to_string())),
@@ -226,14 +272,17 @@ pub fn write_adaptive_bench_json(
         ("executed", Json::UInt(report.executed as u64)),
         ("cached", Json::UInt(report.cached as u64)),
         ("wall_ms", Json::num(report.wall_nanos as f64 / 1e6)),
-        ("groups_detail", Json::Arr(groups_detail)),
-    ]);
+    ];
+    fields.extend(facts.fields());
+    fields.push(("groups_detail", Json::Arr(groups_detail)));
+    let entry = Json::obj(fields);
     merge_run(
         path,
         |r| {
             r.get("mode").and_then(Json::as_str) == Some("adaptive")
                 && r.get("campaign").and_then(Json::as_str) == Some(report.name.as_str())
                 && r.get("backend").and_then(Json::as_str) == Some(backend)
+                && facts.same_rev(r)
         },
         |_| entry,
     )
@@ -459,6 +508,36 @@ mod tests {
         assert_eq!(runs.len(), 3, "engine fixed + adaptive engine + adaptive serve");
         assert!(runs.iter().any(|r| r.get("workers").and_then(Json::as_u64) == Some(4)));
 
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn entries_carry_host_facts_and_other_commits_stay_side_by_side() {
+        let path = tmp_path("revs");
+        std::fs::write(
+            &path,
+            concat!(
+                r#"{"schema":1,"runs":["#,
+                r#"{"campaign":"t","workers":1,"resume":false,"cells":1,"executed":1,"wall_ms":5.0,"git_rev":"older"},"#,
+                r#"{"campaign":"t","workers":4,"resume":false,"cells":1,"executed":1,"wall_ms":2.0,"git_rev":"older"}]}"#
+            ),
+        )
+        .unwrap();
+        let entry = write_bench_json(&path, &fake_report(4, true, 1_000_000_000)).unwrap();
+        assert_eq!(
+            entry.get("available_parallelism").and_then(Json::as_u64),
+            Some(std::thread::available_parallelism().unwrap().get() as u64)
+        );
+        assert!(entry.get("profile").and_then(Json::as_str).is_some());
+        assert_eq!(entry.get("git_rev"), Some(&git_rev().map_or(Json::Null, Json::Str)));
+        assert_ne!(
+            entry.get("speedup_baseline").and_then(Json::as_str),
+            Some("measured-1-worker"),
+            "another commit's run is no baseline"
+        );
+        let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(runs.len(), 3, "the older commit's entries are kept beside the new one");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1007,6 +1007,18 @@ impl HomeBank {
         !self.inbox.is_empty() || !self.fast_inbox.is_empty() || !self.delayed.is_empty()
     }
 
+    /// The earliest cycle at which [`try_tick`](Self::try_tick) has work:
+    /// [`Cycle::ZERO`] (every cycle) while an inbox holds a message,
+    /// otherwise the due cycle of the earliest delayed response. `None`
+    /// when no message is pending, and a tick would change nothing.
+    pub fn next_due(&self) -> Option<Cycle> {
+        if self.inbox.is_empty() && self.fast_inbox.is_empty() {
+            self.delayed.next_due()
+        } else {
+            Some(Cycle::ZERO)
+        }
+    }
+
     /// Accepts one delivered message (any cycle).
     pub fn handle(&mut self, msg: CoherenceMsg, now: Cycle) {
         match msg {

@@ -1237,6 +1237,19 @@ impl L1Cache {
         }
     }
 
+    /// The earliest cycle at which [`tick`](Self::tick) can act: the due
+    /// cycle of the next scheduled completion. `None` when none is
+    /// scheduled, and a tick would change nothing.
+    pub fn next_due(&self) -> Option<Cycle> {
+        self.done.next_due()
+    }
+
+    /// Whether a finished operation waits for
+    /// [`take_completion`](Self::take_completion).
+    pub fn completion_ready(&self) -> bool {
+        self.completed.is_some()
+    }
+
     /// Removes and returns the completion of the outstanding operation,
     /// if it has finished.
     pub fn take_completion(&mut self) -> Option<Completion> {

@@ -124,6 +124,23 @@ impl CoreModel {
         )
     }
 
+    /// The first cycle at which [`tick`](Self::tick) can act on its own:
+    /// any cycle in `Dispatch`, the `until` of a timed state, and never
+    /// ([`Cycle::MAX`]) while waiting on memory, asleep or done. Those
+    /// states move only when poked: by an L1 completion, or a wakeup
+    /// delivered through [`on_wakeup_ipi`](Self::on_wakeup_ipi).
+    pub(crate) fn wake_at(&self) -> Cycle {
+        match self.state {
+            CoreState::Dispatch => Cycle::ZERO,
+            CoreState::Computing { until }
+            | CoreState::PausedUntil { until }
+            | CoreState::FallingAsleep { until }
+            | CoreState::Waking { until }
+            | CoreState::CsBody { until } => until,
+            CoreState::MemWait | CoreState::Sleeping | CoreState::Done => Cycle::MAX,
+        }
+    }
+
     /// Whether the thread is descheduled (any stage of the sleep path).
     pub(crate) fn is_asleep(&self) -> bool {
         matches!(

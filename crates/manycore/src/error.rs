@@ -92,6 +92,21 @@ pub enum InvariantViolation {
         /// Cycle the stalled transaction was issued.
         issued_at: Cycle,
     },
+    /// A component's entry in the per-tile activity schedule disagrees
+    /// with its state: a tick it needed could be skipped (or an idle
+    /// component ticked).
+    StaleSchedule {
+        /// Cycle of the check.
+        cycle: Cycle,
+        /// `home bank`, `L1` or `core`.
+        component: &'static str,
+        /// The tile.
+        core: CoreId,
+        /// The cycle the schedule holds ([`Cycle::MAX`] = never).
+        scheduled: Cycle,
+        /// The cycle the component's state says it next has work.
+        due: Cycle,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -123,6 +138,19 @@ impl fmt::Display for InvariantViolation {
                      with the network and all homes idle — an InvAck was lost",
                     cycle.as_u64(),
                     issued_at.as_u64()
+                )
+            }
+            InvariantViolation::StaleSchedule { cycle, component, core, scheduled, due } => {
+                let at = |c: &Cycle| {
+                    if *c == Cycle::MAX { "never".to_string() } else { c.as_u64().to_string() }
+                };
+                write!(
+                    f,
+                    "cycle {}: stale activity schedule: {component} of {core} is scheduled \
+                     for cycle {} but next has work at cycle {}",
+                    cycle.as_u64(),
+                    at(scheduled),
+                    at(due)
                 )
             }
         }

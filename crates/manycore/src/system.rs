@@ -45,6 +45,13 @@ pub struct System {
     lock_layouts: Vec<LockLayout>,
     now: Cycle,
     outbox: Vec<Envelope>,
+    /// Per-tile activity schedule: the first cycle at which each home
+    /// bank's, L1's and core's tick can act ([`Cycle::MAX`] = only once
+    /// poked). A phase ticks only components due by `now`; every event
+    /// that gives a component work refreshes its entry.
+    home_due: Vec<Cycle>,
+    l1_due: Vec<Cycle>,
+    core_due: Vec<Cycle>,
     /// Core whose delivered packets are logged to stderr
     /// (`INPG_TRACE_CORE`, debugging aid; read once at construction).
     trace_core: Option<usize>,
@@ -167,6 +174,10 @@ impl System {
             lock_layouts,
             now: Cycle::ZERO,
             outbox: Vec::new(),
+            home_due: vec![Cycle::MAX; cores],
+            l1_due: vec![Cycle::MAX; cores],
+            // Every core starts in Dispatch.
+            core_due: vec![Cycle::ZERO; cores],
             trace_core: std::env::var("INPG_TRACE_CORE").ok().and_then(|v| v.parse().ok()),
             abort: None,
         })
@@ -216,65 +227,78 @@ impl System {
         // 1. The network moves flits and delivers packets.
         self.network.tick(now);
 
-        // 2. Dispatch delivered packets to L1s / home banks / OS.
-        for c in 0..cores {
-            while let Some(packet) = self.network.pop_delivered(CoreId::new(c)) {
-                if self.trace_core == Some(c) {
-                    eprintln!("[{}] core {c} <- {:?} (monitored {:?})", now.as_u64(), packet.payload, self.cores[c].monitored_block());
+        // 2. Dispatch delivered packets to L1s / home banks / OS, tile by
+        // tile in ascending order (only tiles that received something).
+        while let Some((tile, packet)) = self.network.pop_next_delivered() {
+            let c = tile.index();
+            if self.trace_core == Some(c) {
+                eprintln!("[{}] core {c} <- {:?} (monitored {:?})", now.as_u64(), packet.payload, self.cores[c].monitored_block());
+            }
+            match packet.payload {
+                CoherenceMsg::GetS { .. }
+                | CoherenceMsg::GetX { .. }
+                | CoherenceMsg::RelayedGetX { .. }
+                | CoherenceMsg::RelayedInvAck { .. }
+                | CoherenceMsg::UnblockS { .. }
+                | CoherenceMsg::UnblockX { .. } => {
+                    self.homes[c].handle(packet.payload, now);
+                    self.home_due[c] = self.home_wake(c);
                 }
-                match packet.payload {
-                    CoherenceMsg::GetS { .. }
-                    | CoherenceMsg::GetX { .. }
-                    | CoherenceMsg::RelayedGetX { .. }
-                    | CoherenceMsg::RelayedInvAck { .. }
-                    | CoherenceMsg::UnblockS { .. }
-                    | CoherenceMsg::UnblockX { .. } => {
-                        self.homes[c].handle(packet.payload, now);
-                    }
-                    CoherenceMsg::OsWakeup { .. } => {
+                CoherenceMsg::OsWakeup { .. } => {
+                    self.cores[c].on_wakeup_ipi(now);
+                    self.core_due[c] = self.core_wake(c);
+                }
+                msg @ (CoherenceMsg::FwdGetS { .. }
+                | CoherenceMsg::FwdGetX { .. }
+                | CoherenceMsg::Inv { .. }
+                | CoherenceMsg::Data { .. }
+                | CoherenceMsg::AckCount { .. }
+                | CoherenceMsg::InvAck { .. }
+                | CoherenceMsg::EarlyInvAck { .. }) => {
+                    // MWAIT-style wake: losing the monitored line —
+                    // by invalidation or by an exclusive-ownership
+                    // transfer — wakes the sleeping thread (the word
+                    // is being, or is about to be, written).
+                    let lost = if let CoherenceMsg::Inv { addr, .. }
+                    | CoherenceMsg::FwdGetX { addr, .. } = &msg
+                    {
+                        Some(addr.block())
+                    } else {
+                        None
+                    };
+                    if lost.is_some() && self.cores[c].monitored_block() == lost {
                         self.cores[c].on_wakeup_ipi(now);
+                        self.core_due[c] = self.core_wake(c);
                     }
-                    msg @ (CoherenceMsg::FwdGetS { .. }
-                    | CoherenceMsg::FwdGetX { .. }
-                    | CoherenceMsg::Inv { .. }
-                    | CoherenceMsg::Data { .. }
-                    | CoherenceMsg::AckCount { .. }
-                    | CoherenceMsg::InvAck { .. }
-                    | CoherenceMsg::EarlyInvAck { .. }) => {
-                        // MWAIT-style wake: losing the monitored line —
-                        // by invalidation or by an exclusive-ownership
-                        // transfer — wakes the sleeping thread (the word
-                        // is being, or is about to be, written).
-                        let lost = if let CoherenceMsg::Inv { addr, .. }
-                        | CoherenceMsg::FwdGetX { addr, .. } = &msg
-                        {
-                            Some(addr.block())
-                        } else {
-                            None
-                        };
-                        if lost.is_some() && self.cores[c].monitored_block() == lost {
-                            self.cores[c].on_wakeup_ipi(now);
-                        }
-                        let mut outbox = std::mem::take(&mut self.outbox);
-                        let handled = self.l1s[c].try_handle(msg, now, &mut outbox);
-                        self.flush(c, outbox);
-                        handled.map_err(|error| SimError::Protocol { cycle: now, error })?;
-                    }
+                    let mut outbox = std::mem::take(&mut self.outbox);
+                    let handled = self.l1s[c].try_handle(msg, now, &mut outbox);
+                    self.flush(c, outbox);
+                    self.l1_due[c] = self.l1_wake(c);
+                    handled.map_err(|error| SimError::Protocol { cycle: now, error })?;
                 }
             }
         }
 
         // 3. Home banks process one request each.
         for c in 0..cores {
+            if self.home_due[c] > now {
+                continue;
+            }
             let mut outbox = std::mem::take(&mut self.outbox);
             let ticked = self.homes[c].try_tick(now, &mut outbox);
             self.flush(c, outbox);
+            self.home_due[c] = self.home_wake(c);
             ticked.map_err(|error| SimError::Protocol { cycle: now, error })?;
         }
 
-        // 4. L1 timers.
-        for l1 in &mut self.l1s {
-            l1.tick(now);
+        // 4. L1 timers. A completion coming due wakes the waiting core.
+        for c in 0..cores {
+            if self.l1_due[c] > now {
+                continue;
+            }
+            self.l1s[c].tick(now);
+            self.l1_due[c] = self.l1_wake(c);
+            self.core_due[c] = self.core_wake(c);
         }
 
         // 4b. Recovery retransmission timers: a due timer aborts the
@@ -286,19 +310,50 @@ impl System {
                     let mut outbox = std::mem::take(&mut self.outbox);
                     self.l1s[c].fire_recovery(now, &mut outbox);
                     self.flush(c, outbox);
+                    self.l1_due[c] = self.l1_wake(c);
                 }
             }
         }
 
         // 5. Cores execute.
         for c in 0..cores {
+            if self.core_due[c] > now {
+                continue;
+            }
             let mut outbox = std::mem::take(&mut self.outbox);
             self.cores[c].tick(now, &mut self.l1s[c], &mut outbox, self.timeline.as_mut());
             self.flush(c, outbox);
+            self.core_due[c] = self.core_wake(c);
+            self.l1_due[c] = self.l1_wake(c);
         }
 
         self.now = now.next();
         Ok(())
+    }
+
+    /// When home bank `c` next has work: any cycle while a message waits
+    /// in its inbox, else its earliest delayed response. Skipping it
+    /// before then is exact: its tick would pop nothing.
+    fn home_wake(&self, c: usize) -> Cycle {
+        self.homes[c].next_due().unwrap_or(Cycle::MAX)
+    }
+
+    /// When L1 `c`'s timer tick next has work: its earliest scheduled
+    /// completion. Before then the tick pops nothing, and its
+    /// stuck-completion check cannot fire on a future due cycle.
+    fn l1_wake(&self, c: usize) -> Cycle {
+        self.l1s[c].next_due().unwrap_or(Cycle::MAX)
+    }
+
+    /// When core `c` next has work: at once if its L1 holds a finished
+    /// operation, else the core's own [`CoreModel::wake_at`]. A core
+    /// ticked earlier than this would leave its state untouched.
+    fn core_wake(&self, c: usize) -> Cycle {
+        if self.l1s[c].completion_ready() {
+            Cycle::ZERO
+        } else {
+            self.cores[c].wake_at()
+        }
     }
 
     /// Sends every envelope produced by tile `c`, reusing the buffer.
@@ -399,6 +454,9 @@ impl System {
     ///
     /// * **Single-writer** — at most one L1 holds any block in a
     ///   writable (M/E) state;
+    /// * **Activity schedule** — every home bank, L1 and core is
+    ///   scheduled exactly when its own state says it next has work, so
+    ///   no skipped component had work due;
     /// * **Ack conservation at quiescence** — with nothing in flight and
     ///   every home bank idle, no core may still be short of promised
     ///   invalidation acknowledgements (a lost `InvAck` wedges the
@@ -414,6 +472,25 @@ impl System {
         self.network
             .try_check_invariants()
             .map_err(|violation| InvariantViolation::Noc { cycle: now, violation })?;
+
+        for c in 0..self.cfg.cores() {
+            let schedule = [
+                ("home bank", self.home_due[c], self.home_wake(c)),
+                ("L1", self.l1_due[c], self.l1_wake(c)),
+                ("core", self.core_due[c], self.core_wake(c)),
+            ];
+            for (component, scheduled, due) in schedule {
+                if scheduled != due {
+                    return Err(InvariantViolation::StaleSchedule {
+                        cycle: now,
+                        component,
+                        core: CoreId::new(c),
+                        scheduled,
+                        due,
+                    });
+                }
+            }
+        }
 
         let mut owners: BTreeMap<Addr, Vec<CoreId>> = BTreeMap::new();
         for l1 in &self.l1s {
@@ -635,5 +712,63 @@ impl System {
     /// The home tile of an address (testing/diagnostics).
     pub fn home_of(&self, addr: Addr) -> CoreId {
         self.home_map.home_of(addr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inpg_noc::{BigRouterPlacement, NocConfig};
+
+    fn schedule_entry<'a>(system: &'a mut System, component: &str, c: usize) -> &'a mut Cycle {
+        match component {
+            "home bank" => &mut system.home_due[c],
+            "L1" => &mut system.l1_due[c],
+            _ => &mut system.core_due[c],
+        }
+    }
+
+    /// Runs a small contended iNPG system under the invariant checker and,
+    /// whenever a home bank, L1 or core has work scheduled, clears that
+    /// entry on the live system and expects the checker to name it.
+    #[test]
+    fn a_stale_activity_schedule_is_a_violation() {
+        let mut cfg = SystemConfig::baseline();
+        cfg.noc = NocConfig {
+            width: 4,
+            height: 4,
+            placement: BigRouterPlacement::All,
+            ..NocConfig::baseline()
+        };
+        let programs =
+            (0..16).map(|_| ThreadProgram::new().rounds(3, 40, LockId::new(0), 20)).collect();
+        let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
+        let mut caught = BTreeMap::new();
+        while !system.all_done() && system.now().as_u64() < 200_000 {
+            system.try_tick().expect("fault-free tick");
+            system.check_protocol_invariants().expect("consistent schedule");
+            for c in 0..16 {
+                for component in ["home bank", "L1", "core"] {
+                    let entry = schedule_entry(&mut system, component, c);
+                    if *entry == Cycle::MAX {
+                        continue;
+                    }
+                    let saved = std::mem::replace(entry, Cycle::MAX);
+                    let violation = system.check_protocol_invariants().expect_err("stale entry");
+                    assert!(
+                        matches!(
+                            violation,
+                            InvariantViolation::StaleSchedule { component: got, core, .. }
+                                if got == component && core == CoreId::new(c)
+                        ),
+                        "{violation}"
+                    );
+                    *caught.entry(component).or_insert(0) += 1;
+                    *schedule_entry(&mut system, component, c) = saved;
+                }
+            }
+        }
+        assert!(system.all_done(), "the run completes");
+        assert_eq!(caught.len(), 3, "every component kind was corrupted: {caught:?}");
     }
 }

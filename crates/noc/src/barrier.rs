@@ -461,6 +461,13 @@ impl LockingBarrierTable {
         }
     }
 
+    /// Whether [`tick`](Self::tick) can change anything: a live barrier
+    /// has a TTL to count down, or a degraded table may heal. An empty
+    /// Healthy or PassThrough table ticks as a no-op.
+    pub fn needs_tick(&self) -> bool {
+        self.fsm.barrier_count() > 0 || self.health == RouterHealth::Degraded
+    }
+
     /// Live barrier count.
     pub fn barrier_count(&self) -> usize {
         self.fsm.barrier_count()

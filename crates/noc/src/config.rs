@@ -135,7 +135,8 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when any dimension or buffer parameter is
-    /// zero, or the barrier table is configured on a mesh with no routers.
+    /// zero, a port has more than 12 VCs, or the barrier table is
+    /// configured on a mesh with no routers.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.width == 0 || self.height == 0 {
             return Err(ConfigError::new("mesh dimensions must be nonzero"));
@@ -145,6 +146,10 @@ impl NocConfig {
         }
         if self.vcs_per_vnet == 0 {
             return Err(ConfigError::new("at least one VC per virtual network is required"));
+        }
+        if self.vcs_per_port() > 12 {
+            // Each router tracks its 5 ports' occupied VCs in one u64.
+            return Err(ConfigError::new("at most 12 VCs per port (vnets x VCs per vnet)"));
         }
         if self.vc_depth == 0 {
             return Err(ConfigError::new("VC buffers must hold at least one flit"));
@@ -173,6 +178,14 @@ impl Default for NocConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vcs_per_port_must_fit_the_occupancy_mask() {
+        let ok = NocConfig { vnets: 4, vcs_per_vnet: 3, ..NocConfig::paper_default() };
+        assert!(ok.validate().is_ok());
+        let too_many = NocConfig { vnets: 4, vcs_per_vnet: 4, ..NocConfig::paper_default() };
+        assert!(too_many.validate().is_err());
+    }
 
     #[test]
     fn checkerboard_places_half() {

@@ -17,14 +17,26 @@ pub enum NocViolation {
         /// Packets the counters say should be in flight.
         expected: u64,
     },
-    /// A router's cached buffered-flit counter disagrees with its buffers.
-    BufferAccounting {
+    /// A router's occupied-VC mask disagrees with its buffers: a VC
+    /// holding flits would be skipped by switch allocation and
+    /// interception, or an empty one visited.
+    OccupancyMask {
         /// Router coordinate.
         router: Coord,
-        /// The cached counter.
-        counter: usize,
-        /// Flits actually buffered.
-        actual: usize,
+        /// The cached mask (bit `port * vcs + vc`).
+        mask: u64,
+        /// The mask rebuilt from the buffers.
+        actual: u64,
+    },
+    /// An activity set is stale: a node with work of the set's kind is
+    /// missing (its phase would skip it), or an idle node is listed.
+    ActiveSet {
+        /// Which set: `router`, `inject`, `delivered` or `barrier-tick`.
+        set: &'static str,
+        /// The node's router coordinate.
+        router: Coord,
+        /// Whether the node actually has work of that kind.
+        has_work: bool,
     },
     /// Credits plus downstream occupancy no longer equal the VC depth.
     CreditConservation {
@@ -64,10 +76,18 @@ impl fmt::Display for NocViolation {
                 "packet conservation: {counted} packets found in buffers but counters \
                  imply {expected} in flight"
             ),
-            NocViolation::BufferAccounting { router, counter, actual } => write!(
+            NocViolation::OccupancyMask { router, mask, actual } => write!(
                 f,
-                "router {router}: buffered counter {counter} != {actual} flits actually buffered"
+                "router {router}: occupied-VC mask {mask:#x} != {actual:#x} rebuilt from the \
+                 buffers"
             ),
+            NocViolation::ActiveSet { set, router, has_work } => {
+                if *has_work {
+                    write!(f, "{set} set misses node {router}, which has work pending")
+                } else {
+                    write!(f, "{set} set lists node {router}, which has no work pending")
+                }
+            }
             NocViolation::CreditConservation { router, port, vc, credits, occupancy, depth } => {
                 write!(
                     f,

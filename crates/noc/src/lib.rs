@@ -51,6 +51,7 @@
 //! # Ok::<(), inpg_sim::ConfigError>(())
 //! ```
 
+mod active;
 pub mod barrier;
 pub mod config;
 pub mod coord;

@@ -1,6 +1,7 @@
 //! The mesh network: injection, per-cycle switching, big-router
 //! interception, and delivery.
 
+use crate::active::NodeSet;
 use crate::barrier::{BarrierSnapshot, BarrierStats, LockingBarrierTable};
 use crate::config::NocConfig;
 use crate::coord::{Coord, Direction, Port};
@@ -77,6 +78,20 @@ pub struct Network<P> {
     inject_rr: Vec<usize>,
     /// Per-node delivered packets awaiting pickup by the tile.
     delivered: Vec<VecDeque<Packet<P>>>,
+    /// Routers holding a buffered flit or a generated packet (the only
+    /// routers interception and switch allocation visit).
+    active_routers: NodeSet,
+    /// Nodes with a queued or partly injected packet (the only nodes the
+    /// injection phase visits).
+    inject_active: NodeSet,
+    /// Nodes whose `delivered` queue is non-empty.
+    delivered_nodes: NodeSet,
+    /// Big routers whose barrier table has TTLs to count down or a
+    /// degraded state to heal (the only tables the barrier tick visits).
+    barrier_live: NodeSet,
+    /// Switch-allocation bids of the router being switched, reused every
+    /// cycle (capacity for one bid per input VC plus the generator).
+    bids: Vec<Candidate>,
     next_packet_id: u64,
     stats: NocStats,
     /// Fault-injection jitter stream state.
@@ -131,6 +146,11 @@ impl<P: PacketGenPayload> Network<P> {
             inject_state: (0..nodes).map(|_| vec![None; cfg.vnets as usize]).collect(),
             inject_rr: vec![0; nodes],
             delivered: (0..nodes).map(|_| VecDeque::new()).collect(),
+            active_routers: NodeSet::new(nodes),
+            inject_active: NodeSet::new(nodes),
+            delivered_nodes: NodeSet::new(nodes),
+            barrier_live: NodeSet::new(nodes),
+            bids: Vec::with_capacity(5 * vcs + 1),
             next_packet_id: 0,
             stats: NocStats::default(),
             fault_rng: cfg.faults.seed ^ 0x6a09_e667_f3bc_c908,
@@ -182,12 +202,27 @@ impl<P: PacketGenPayload> Network<P> {
         self.stats.injected += 1;
         self.stats.in_flight += 1;
         self.inject[msg.src.index()][msg.vnet.index()].push_back(packet);
+        self.inject_active.add(msg.src.index());
         id
     }
 
     /// Removes and returns the next packet delivered to `node`'s NI.
     pub fn pop_delivered(&mut self, node: CoreId) -> Option<Packet<P>> {
-        self.delivered[node.index()].pop_front()
+        let queue = &mut self.delivered[node.index()];
+        let packet = queue.pop_front();
+        if queue.is_empty() {
+            self.delivered_nodes.remove(node.index());
+        }
+        packet
+    }
+
+    /// Removes and returns the next delivered packet of the
+    /// lowest-numbered node holding one, with that node. Draining with
+    /// this visits nodes in the order of a `pop_delivered` sweep over
+    /// `0..nodes` without touching the nodes that received nothing.
+    pub fn pop_next_delivered(&mut self) -> Option<(CoreId, Packet<P>)> {
+        let node = CoreId::new(self.delivered_nodes.next_from(0)?);
+        self.pop_delivered(node).map(|packet| (node, packet))
     }
 
     /// Packets currently inside the network (injected or generated but
@@ -236,7 +271,9 @@ impl<P: PacketGenPayload> Network<P> {
     /// Verifies internal conservation invariants, reporting the first
     /// violation as a typed value instead of panicking:
     ///
-    /// * every router's cached flit counter matches its buffers,
+    /// * every router's occupied-VC mask matches its buffers,
+    /// * the router, injection, delivery and barrier-tick active sets
+    ///   hold exactly the nodes with work of that kind,
     /// * credits plus downstream buffer occupancy equal the VC depth,
     /// * every live barrier entry's TTL is in `1..=default`,
     /// * packets found by walking every queue and buffer equal
@@ -247,13 +284,13 @@ impl<P: PacketGenPayload> Network<P> {
     /// Returns the first [`NocViolation`] found.
     pub fn try_check_invariants(&self) -> Result<(), NocViolation> {
         let vcs = self.cfg.vcs_per_port();
-        for router in &self.routers {
-            let total: usize = router.inputs.iter().flatten().map(|vc| vc.occupancy()).sum();
-            if total != router.buffered {
-                return Err(NocViolation::BufferAccounting {
+        for (node, router) in self.routers.iter().enumerate() {
+            let actual = router.occupied_from_buffers();
+            if router.occupied != actual {
+                return Err(NocViolation::OccupancyMask {
                     router: router.coord,
-                    counter: router.buffered,
-                    actual: total,
+                    mask: router.occupied,
+                    actual,
                 });
             }
             for dir in Direction::ALL {
@@ -291,6 +328,21 @@ impl<P: PacketGenPayload> Network<P> {
                     }
                 }
             }
+            let sets = [
+                ("router", &self.active_routers, !router.is_idle()),
+                ("inject", &self.inject_active, self.has_inject_work(node)),
+                ("delivered", &self.delivered_nodes, !self.delivered[node].is_empty()),
+                (
+                    "barrier-tick",
+                    &self.barrier_live,
+                    router.barrier.as_ref().is_some_and(LockingBarrierTable::needs_tick),
+                ),
+            ];
+            for (set, members, has_work) in sets {
+                if members.contains(node) != has_work {
+                    return Err(NocViolation::ActiveSet { set, router: router.coord, has_work });
+                }
+            }
         }
         let counted = self.count_resident_packets();
         let expected = self.stats.in_flight;
@@ -298,6 +350,13 @@ impl<P: PacketGenPayload> Network<P> {
             return Err(NocViolation::PacketConservation { counted, expected });
         }
         Ok(())
+    }
+
+    /// Whether `node` has a packet queued for injection or partly
+    /// injected.
+    fn has_inject_work(&self, node: usize) -> bool {
+        self.inject[node].iter().any(|q| !q.is_empty())
+            || self.inject_state[node].iter().any(Option::is_some)
     }
 
     /// Counts the packets physically present in the network by walking
@@ -352,7 +411,7 @@ impl<P: PacketGenPayload> Network<P> {
         );
         for (node, router) in self.routers.iter().enumerate() {
             let pending_inject: usize = self.inject[node].iter().map(VecDeque::len).sum();
-            if router.buffered == 0 && router.gen_queue.is_empty() && pending_inject == 0 {
+            if router.is_idle() && pending_inject == 0 {
                 continue;
             }
             let _ = write!(
@@ -360,7 +419,7 @@ impl<P: PacketGenPayload> Network<P> {
                 "  router {} ({}): {} flits buffered",
                 router.coord,
                 if router.is_big() { "big" } else { "normal" },
-                router.buffered,
+                router.buffered_flits(),
             );
             if pending_inject > 0 {
                 let _ = write!(out, ", {pending_inject} awaiting injection");
@@ -513,16 +572,21 @@ impl<P: PacketGenPayload> Network<P> {
     // ---- interception (big-router packet generation) ------------------
 
     fn intercept_phase(&mut self, now: Cycle) {
-        let nodes = self.cfg.nodes();
         let vcs = self.cfg.vcs_per_port();
-        for node in 0..nodes {
-            if !self.routers[node].is_big() || self.routers[node].buffered == 0 {
+        let mut next = self.active_routers.next_from(0);
+        while let Some(node) = next {
+            next = self.active_routers.next_from(node + 1);
+            if !self.routers[node].is_big() {
                 continue;
             }
-            for port in 0..5 {
-                for vc in 0..vcs {
-                    self.intercept_vc_head(now, node, port, vc);
-                }
+            // Interception only pops, so the VCs occupied now are the
+            // only ones with a head to inspect; visiting them in
+            // ascending bit order is the (port, vc) order of a full scan.
+            let mut occupied = self.routers[node].occupied;
+            while occupied != 0 {
+                let bit = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                self.intercept_vc_head(now, node, bit / vcs, bit % vcs);
             }
         }
     }
@@ -671,7 +735,11 @@ impl<P: PacketGenPayload> Network<P> {
                     // the same chain returned Some in decide_action.
                     .expect("checked above");
                 // lint: allow(unwrap) — InstallBarrier only fires on big routers.
-                router.barrier.as_mut().expect("big router").observe_transfer(req.addr);
+                let barrier = router.barrier.as_mut().expect("big router");
+                barrier.observe_transfer(req.addr);
+                if barrier.needs_tick() {
+                    self.barrier_live.add(node);
+                }
             }
         }
     }
@@ -686,18 +754,17 @@ impl<P: PacketGenPayload> Network<P> {
         self.stats.generated_packets += 1;
         self.stats.in_flight += 1;
         self.routers[node].gen_queue.push_back(packet);
+        self.active_routers.add(node);
     }
 
     /// Pops the (single-flit) head packet of a VC, returning credit to
     /// the upstream router.
     fn pop_head_packet(&mut self, node: usize, port: usize, vc: usize) -> Packet<P> {
-        let flit = self.routers[node].inputs[port][vc]
-            .flits
-            .pop_front()
+        let flit = self.routers[node]
+            .pop_flit(port, vc)
             // lint: allow(unwrap) — interception actions are decided while
             // inspecting this VC's front flit, which stays put until here.
             .expect("caller checked the flit exists");
-        self.routers[node].buffered -= 1;
         debug_assert!(flit.tail, "interception only consumes single-flit packets");
         self.routers[node].inputs[port][vc].route = None;
         self.return_credit(node, port, vc);
@@ -733,164 +800,175 @@ impl<P: PacketGenPayload> Network<P> {
 
     // ---- barrier TTLs --------------------------------------------------
 
+    /// Ticks the tables in `barrier_live`. Any other table is empty and
+    /// not degraded, so its tick would change nothing; tables join the
+    /// set when interception installs a barrier or degrades them, and
+    /// leave it once their tick finds them idle.
     fn barrier_tick_phase(&mut self) {
-        for router in &mut self.routers {
-            if let Some(barrier) = router.barrier.as_mut() {
+        let mut next = self.barrier_live.next_from(0);
+        while let Some(node) = next {
+            if let Some(barrier) = self.routers[node].barrier.as_mut() {
                 barrier.tick();
+                if !barrier.needs_tick() {
+                    self.barrier_live.remove(node);
+                }
             }
+            next = self.barrier_live.next_from(node + 1);
         }
     }
 
     // ---- switch allocation & traversal ---------------------------------
 
+    /// Switches the routers in `active_routers`, in ascending order. An
+    /// idle router would grant nothing. A flit moved into a router later
+    /// in the order adds it to the set before the cursor gets there, as a
+    /// full sweep would also visit it; a router that ends its own turn
+    /// idle leaves the set (only its own turn pops its buffers).
     fn switch_phase(&mut self, now: Cycle) {
-        let nodes = self.cfg.nodes();
-        for node in 0..nodes {
+        let mut next = self.active_routers.next_from(0);
+        while let Some(node) = next {
             self.switch_router(now, node);
+            if self.routers[node].is_idle() {
+                self.active_routers.remove(node);
+            }
+            next = self.active_routers.next_from(node + 1);
         }
     }
 
+    /// Switch allocation for one router: every occupied input VC and the
+    /// generator front bid once, then each output port (in `Port::ALL`
+    /// order) grants one bid from an input that has not moved a flit yet.
+    ///
+    /// Bidding once up front is exact. A grant through port X changes
+    /// only X's VC owners and credits here (credits returned upstream
+    /// belong to other routers) and pops the winner's input, whose
+    /// remaining bids are withdrawn. A bid for port Y computed before the
+    /// grant is therefore the bid a fresh scan would make at Y's turn.
     fn switch_router(&mut self, now: Cycle, node: usize) {
-        if self.routers[node].buffered == 0 && self.routers[node].gen_queue.is_empty() {
-            return;
-        }
-        let mut used_inputs = [false; 6]; // 5 ports + generator
+        let bid_ports = self.collect_bids(now, node);
         for out_port in Port::ALL {
-            let candidates = self.gather_candidates(now, node, out_port, &used_inputs);
+            if bid_ports & (1 << out_port.index()) == 0 {
+                continue;
+            }
             let winner = self.routers[node].pick_winner(
                 out_port,
-                &candidates,
+                &self.bids,
                 self.cfg.ocor_arbitration,
             );
             if let Some(winner) = winner {
-                match winner.source {
-                    FlitSource::Vc(p, _) => used_inputs[p] = true,
-                    FlitSource::Generator => used_inputs[5] = true,
-                }
+                let input = winner.input();
+                self.bids.retain(|bid| bid.input() != input);
                 self.apply_move(now, node, winner);
             }
         }
     }
 
-    /// Collects the switch-allocation candidates targeting `out_port`.
-    fn gather_candidates(
-        &self,
-        now: Cycle,
-        node: usize,
-        out_port: Port,
-        used_inputs: &[bool; 6],
-    ) -> Vec<Candidate> {
+    /// Fills `self.bids` with this cycle's switch bids at `node`: one per
+    /// eligible occupied input VC whose flit can advance (route computed,
+    /// downstream VC or credit available), plus the generator's front
+    /// packet, which bids like a sixth input. Returns the output ports
+    /// bid for, as a mask over `Port::index`.
+    fn collect_bids(&mut self, now: Cycle, node: usize) -> u8 {
         let router = &self.routers[node];
         let vcs = self.cfg.vcs_per_port();
         let vcs_per_vnet = self.cfg.vcs_per_vnet as usize;
-        let mut out = Vec::new();
-        #[allow(clippy::needless_range_loop)] // port is an index into two tables
-        for port in 0..5 {
-            if used_inputs[port] {
+        self.bids.clear();
+        let mut bid_ports = 0;
+        let mut occupied = router.occupied;
+        while occupied != 0 {
+            let order_key = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let (port, vc) = (order_key / vcs, order_key % vcs);
+            let input = &router.inputs[port][vc];
+            let Some(flit) = input.flits.front() else { continue };
+            if flit.eligible_at > now {
                 continue;
             }
-            for vc in 0..vcs {
-                let input = &router.inputs[port][vc];
-                let Some(flit) = input.flits.front() else { continue };
-                if flit.eligible_at > now {
-                    continue;
-                }
-                let candidate = if let Some(packet) = flit.head.as_deref() {
-                    // Head flit: route computation + VC allocation.
-                    let route_port = match router.coord.xy_next_hop(packet.dst) {
-                        Some(dir) => Port::Link(dir),
-                        None => Port::Local,
-                    };
-                    if route_port == Port::Local && packet.sink == Sink::Router {
-                        // Router-sink packets are consumed by the
-                        // interception phase, never ejected; leave the
-                        // flit for the next cycle's interception sweep.
-                        continue;
-                    }
-                    if route_port != out_port {
-                        continue;
-                    }
-                    let out_vc = if route_port == Port::Local {
-                        0
-                    } else {
-                        match router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet)
-                        {
-                            Some(v) => v,
-                            None => continue, // VA stall
-                        }
-                    };
-                    Candidate {
-                        source: FlitSource::Vc(port, vc),
-                        out: OutRoute { port: route_port, vc: out_vc },
-                        claims_vc: route_port != Port::Local,
-                        priority: aged_priority(packet, now),
-                        order_key: port * vcs + vc,
-                    }
-                } else {
-                    // Body flit: follows the route claimed by its head.
-                    let Some(route) = input.route else { continue };
-                    if route.port != out_port {
-                        continue;
-                    }
-                    if route.port != Port::Local
-                        && router.out_credits[route.port.index()][route.vc] == 0
-                    {
-                        continue; // no credit downstream
-                    }
-                    Candidate {
-                        source: FlitSource::Vc(port, vc),
-                        out: route,
-                        claims_vc: false,
-                        priority: 0,
-                        order_key: port * vcs + vc,
-                    }
-                };
-                out.push(candidate);
-            }
-        }
-        // The packet generator's front packet bids like a sixth input.
-        if !used_inputs[5] {
-            if let Some(packet) = router.gen_queue.front() {
+            let bid = if let Some(packet) = flit.head.as_deref() {
+                // Head flit: route computation + VC allocation.
                 let route_port = match router.coord.xy_next_hop(packet.dst) {
                     Some(dir) => Port::Link(dir),
                     None => Port::Local,
                 };
-                if route_port == out_port {
-                    let out_vc = if route_port == Port::Local {
-                        Some(0)
-                    } else {
-                        router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet)
-                    };
-                    if let Some(out_vc) = out_vc {
-                        out.push(Candidate {
-                            source: FlitSource::Generator,
-                            out: OutRoute { port: route_port, vc: out_vc },
-                            claims_vc: route_port != Port::Local,
-                            priority: aged_priority(packet, now),
-                            order_key: 5 * vcs,
-                        });
-                    }
+                if route_port == Port::Local && packet.sink == Sink::Router {
+                    // Router-sink packets are consumed by the
+                    // interception phase, never ejected; leave the
+                    // flit for the next cycle's interception sweep.
+                    continue;
                 }
+                let out_vc = if route_port == Port::Local {
+                    0
+                } else {
+                    match router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet) {
+                        Some(v) => v,
+                        None => continue, // VA stall
+                    }
+                };
+                Candidate {
+                    source: FlitSource::Vc(port, vc),
+                    out: OutRoute { port: route_port, vc: out_vc },
+                    claims_vc: route_port != Port::Local,
+                    priority: aged_priority(packet, now),
+                    order_key,
+                }
+            } else {
+                // Body flit: follows the route claimed by its head.
+                let Some(route) = input.route else { continue };
+                if route.port != Port::Local
+                    && router.out_credits[route.port.index()][route.vc] == 0
+                {
+                    continue; // no credit downstream
+                }
+                Candidate {
+                    source: FlitSource::Vc(port, vc),
+                    out: route,
+                    claims_vc: false,
+                    priority: 0,
+                    order_key,
+                }
+            };
+            bid_ports |= 1 << bid.out.port.index();
+            self.bids.push(bid);
+        }
+        if let Some(packet) = router.gen_queue.front() {
+            let route_port = match router.coord.xy_next_hop(packet.dst) {
+                Some(dir) => Port::Link(dir),
+                None => Port::Local,
+            };
+            let out_vc = if route_port == Port::Local {
+                Some(0)
+            } else {
+                router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet)
+            };
+            if let Some(out_vc) = out_vc {
+                bid_ports |= 1 << route_port.index();
+                self.bids.push(Candidate {
+                    source: FlitSource::Generator,
+                    out: OutRoute { port: route_port, vc: out_vc },
+                    claims_vc: route_port != Port::Local,
+                    priority: aged_priority(packet, now),
+                    order_key: 5 * vcs,
+                });
             }
         }
-        out
+        bid_ports
     }
 
     /// Executes one granted switch traversal.
     fn apply_move(&mut self, now: Cycle, node: usize, winner: Candidate) {
         let flit = match winner.source {
             FlitSource::Vc(port, vc) => {
-                let input = &mut self.routers[node].inputs[port][vc];
+                let router = &mut self.routers[node];
                 // lint: allow(unwrap) — the candidate was built from this
                 // VC's front flit in the same cycle; nothing drains between.
-                let flit = input.flits.pop_front().expect("candidate flit exists");
+                let flit = router.pop_flit(port, vc).expect("candidate flit exists");
+                let input = &mut router.inputs[port][vc];
                 if flit.head.is_some() {
                     input.route = Some(winner.out);
                 }
                 if flit.tail {
                     input.route = None;
                 }
-                self.routers[node].buffered -= 1;
                 self.return_credit(node, port, vc);
                 flit
             }
@@ -938,8 +1016,8 @@ impl<P: PacketGenPayload> Network<P> {
                 // cycles after leaving this one (2-cycle hop, Table 1's
                 // 2-stage pipelined router).
                 flit.eligible_at = now + 2;
-                self.routers[n_node].inputs[in_port][winner.out.vc].flits.push_back(flit);
-                self.routers[n_node].buffered += 1;
+                self.routers[n_node].push_flit(in_port, winner.out.vc, flit);
+                self.active_routers.add(n_node);
             }
         }
     }
@@ -981,15 +1059,19 @@ impl<P: PacketGenPayload> Network<P> {
             self.stats.record_delivery(packet.vnet, latency);
             self.stats.in_flight -= 1;
             self.delivered[node].push_back(packet);
+            self.delivered_nodes.add(node);
         }
     }
 
     // ---- injection -------------------------------------------------------
 
+    /// Injects at the nodes in `inject_active`, in ascending order. Any
+    /// other node has nothing queued or streaming, so it would inject
+    /// nothing and leave its round-robin pointer alone.
     fn inject_phase(&mut self, now: Cycle) {
-        let nodes = self.cfg.nodes();
         let vnets = self.cfg.vnets as usize;
-        for node in 0..nodes {
+        let mut next = self.inject_active.next_from(0);
+        while let Some(node) = next {
             let start = self.inject_rr[node];
             for offset in 0..vnets {
                 let vnet = (start + offset) % vnets;
@@ -998,6 +1080,10 @@ impl<P: PacketGenPayload> Network<P> {
                     break;
                 }
             }
+            if !self.has_inject_work(node) {
+                self.inject_active.remove(node);
+            }
+            next = self.inject_active.next_from(node + 1);
         }
     }
 
@@ -1010,19 +1096,18 @@ impl<P: PacketGenPayload> Network<P> {
 
         if let Some(progress) = self.inject_state[node][vnet] {
             // Continue streaming the in-flight packet.
-            let input = &mut self.routers[node].inputs[local][progress.vc];
-            if input.occupancy() >= vc_depth {
+            let router = &mut self.routers[node];
+            if router.inputs[local][progress.vc].occupancy() >= vc_depth {
                 return false;
             }
             let sent = progress.sent + 1;
             let tail = sent == progress.total;
-            input.flits.push_back(Flit {
-                packet_id: progress.packet_id,
-                head: None,
-                tail,
-                eligible_at: now + 1,
-            });
-            self.routers[node].buffered += 1;
+            router.push_flit(
+                local,
+                progress.vc,
+                Flit { packet_id: progress.packet_id, head: None, tail, eligible_at: now + 1 },
+            );
+            self.active_routers.add(node);
             self.inject_state[node][vnet] =
                 (!tail).then_some(InjectProgress { sent, ..progress });
             return true;
@@ -1070,13 +1155,12 @@ impl<P: PacketGenPayload> Network<P> {
                 }
             }
         }
-        self.routers[node].inputs[local][vc].flits.push_back(Flit {
-            packet_id: id,
-            head: Some(Box::new(packet)),
-            tail,
-            eligible_at,
-        });
-        self.routers[node].buffered += 1;
+        self.routers[node].push_flit(
+            local,
+            vc,
+            Flit { packet_id: id, head: Some(Box::new(packet)), tail, eligible_at },
+        );
+        self.active_routers.add(node);
         if !tail {
             self.inject_state[node][vnet] =
                 Some(InjectProgress { packet_id: id, vc, sent: 1, total });
@@ -1267,6 +1351,107 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
+    }
+
+    /// Runs a few lock-free packets part-way so every kind of activity
+    /// bookkeeping holds something, then corrupts each piece in turn on a
+    /// fresh copy of that state and expects the matching violation.
+    #[test]
+    fn stale_activity_bookkeeping_is_a_violation() {
+        let mut network = net(NocConfig::paper_default());
+        let mut now = Cycle::ZERO;
+        network.send(now, msg(0, 63, 8));
+        network.send(now, msg(9, 10, 1));
+        for _ in 0..6 {
+            network.tick(now);
+            now = now.next();
+        }
+        network.check_invariants();
+        let busy = (0..64).find(|&n| network.routers[n].occupied != 0).expect("a flit in the mesh");
+        assert!(network.inject_active.contains(0), "the 8-flit packet is still streaming");
+        assert!(network.delivered_nodes.contains(10), "the 1-hop packet arrived");
+
+        let violation = |network: &Network<OpaquePayload>| {
+            network.try_check_invariants().expect_err("corruption must be caught")
+        };
+        network.routers[busy].occupied = 0;
+        assert!(matches!(violation(&network), NocViolation::OccupancyMask { .. }));
+        network.routers[busy].occupied = network.routers[busy].occupied_from_buffers();
+
+        network.active_routers.remove(busy);
+        assert!(matches!(
+            violation(&network),
+            NocViolation::ActiveSet { set: "router", has_work: true, .. }
+        ));
+        network.active_routers.add(busy);
+
+        network.inject_active.remove(0);
+        assert!(matches!(
+            violation(&network),
+            NocViolation::ActiveSet { set: "inject", has_work: true, .. }
+        ));
+        network.inject_active.add(0);
+        network.inject_active.add(5);
+        assert!(matches!(
+            violation(&network),
+            NocViolation::ActiveSet { set: "inject", has_work: false, .. }
+        ));
+        network.inject_active.remove(5);
+
+        network.delivered_nodes.remove(10);
+        assert!(matches!(
+            violation(&network),
+            NocViolation::ActiveSet { set: "delivered", has_work: true, .. }
+        ));
+        network.delivered_nodes.add(10);
+
+        network.barrier_live.add(0);
+        assert!(matches!(
+            violation(&network),
+            NocViolation::ActiveSet { set: "barrier-tick", has_work: false, .. }
+        ));
+        network.barrier_live.remove(0);
+        network.check_invariants();
+    }
+
+    #[test]
+    fn a_live_barrier_is_ticked_until_it_expires() {
+        let mut network = net(NocConfig { barrier_ttl: 3, ..NocConfig::paper_default() });
+        let big = (0..64).find(|&n| network.routers[n].is_big()).expect("a big router");
+        let table = network.routers[big].barrier.as_mut().expect("big router");
+        table.observe_transfer(inpg_sim::Addr::new(0x80));
+        let violation = network.try_check_invariants().expect_err("unlisted live barrier");
+        assert!(matches!(
+            violation,
+            NocViolation::ActiveSet { set: "barrier-tick", has_work: true, .. }
+        ));
+        network.barrier_live.add(big);
+        let mut now = Cycle::ZERO;
+        for _ in 0..3 {
+            network.tick(now);
+            network.check_invariants();
+            now = now.next();
+        }
+        assert!(!network.barrier_live.contains(big), "expired table leaves the set");
+        assert_eq!(network.barrier_stats().barriers_expired, 1);
+    }
+
+    #[test]
+    fn pop_next_delivered_drains_nodes_in_ascending_order() {
+        let mut network = net(NocConfig::baseline());
+        let mut now = Cycle::ZERO;
+        for (src, dst) in [(40, 41), (3, 2), (20, 21), (4, 2)] {
+            network.send(now, msg(src, dst, 1));
+        }
+        while network.in_flight() > 0 {
+            network.tick(now);
+            now = now.next();
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| network.pop_next_delivered())
+            .map(|(node, _)| node.index())
+            .collect();
+        assert_eq!(order, vec![2, 2, 21, 41]);
+        network.check_invariants();
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub(crate) enum FlitSource {
     Generator,
 }
 
-/// One switch-allocation candidate.
+/// One switch-allocation candidate: an input's bid for one output port.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
     pub source: FlitSource,
@@ -73,6 +73,18 @@ pub(crate) struct Candidate {
     pub priority: u8,
     /// Deterministic round-robin ordering key.
     pub order_key: usize,
+}
+
+impl Candidate {
+    /// The crossbar input the flit leaves through: its port index, or 5
+    /// for the packet generator. Each input moves at most one flit per
+    /// cycle.
+    pub(crate) fn input(&self) -> usize {
+        match self.source {
+            FlitSource::Vc(port, _) => port,
+            FlitSource::Generator => 5,
+        }
+    }
 }
 
 /// Per-packet ejection reassembly state.
@@ -102,9 +114,12 @@ pub(crate) struct Router<P> {
     /// In-progress ejection reassembly. Ordered so router state stays
     /// canonical — iteration order must not depend on hash seeds.
     pub eject: BTreeMap<PacketId, EjectSlot<P>>,
-    /// Total flits buffered across all input VCs (fast-path check so the
-    /// per-cycle sweep can skip idle routers).
-    pub buffered: usize,
+    /// Occupied input VCs: bit `port * vcs + vc` is set iff that VC holds
+    /// a flit, so the per-cycle phases visit only occupied VCs (and skip
+    /// idle routers) in ascending `(port, vc)` order.
+    pub occupied: u64,
+    /// VCs per input port (the stride of `occupied`).
+    pub vcs: usize,
 }
 
 impl<P: PacketGenPayload> Router<P> {
@@ -125,8 +140,49 @@ impl<P: PacketGenPayload> Router<P> {
             barrier,
             rr: [0; 5],
             eject: BTreeMap::new(),
-            buffered: 0,
+            occupied: 0,
+            vcs: vcs_per_port,
         }
+    }
+
+    /// Appends `flit` to input VC `(port, vc)`.
+    pub(crate) fn push_flit(&mut self, port: usize, vc: usize, flit: Flit<P>) {
+        self.inputs[port][vc].flits.push_back(flit);
+        self.occupied |= 1 << (port * self.vcs + vc);
+    }
+
+    /// Removes the front flit of input VC `(port, vc)`.
+    pub(crate) fn pop_flit(&mut self, port: usize, vc: usize) -> Option<Flit<P>> {
+        let input = &mut self.inputs[port][vc];
+        let flit = input.flits.pop_front()?;
+        if input.flits.is_empty() {
+            self.occupied &= !(1 << (port * self.vcs + vc));
+        }
+        Some(flit)
+    }
+
+    /// Flits buffered across all input VCs (diagnostics).
+    pub(crate) fn buffered_flits(&self) -> usize {
+        self.inputs.iter().flatten().map(InputVc::occupancy).sum()
+    }
+
+    /// The occupancy mask rebuilt from the buffers (invariant checks).
+    pub(crate) fn occupied_from_buffers(&self) -> u64 {
+        let mut mask = 0;
+        for (port, vcs) in self.inputs.iter().enumerate() {
+            for (vc, input) in vcs.iter().enumerate() {
+                if !input.flits.is_empty() {
+                    mask |= 1 << (port * self.vcs + vc);
+                }
+            }
+        }
+        mask
+    }
+
+    /// Whether the router holds nothing to switch: no buffered flit and
+    /// no generated packet.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.occupied == 0 && self.gen_queue.is_empty()
     }
 
     /// Whether this router carries a packet generator.
@@ -148,14 +204,16 @@ impl<P: PacketGenPayload> Router<P> {
             .find(|&vc| self.out_owner[p][vc].is_none() && self.out_credits[p][vc] > 0)
     }
 
-    /// Deterministic round-robin winner selection for one output port.
+    /// Deterministic round-robin winner selection for one output port
+    /// among the `bids` that target it (bids for other ports are
+    /// ignored).
     ///
     /// Highest priority wins when `by_priority` is set (OCOR); ties (and
     /// the non-OCOR case) fall to a cyclic round-robin over `order_key`.
     pub(crate) fn pick_winner(
         &mut self,
         out_port: Port,
-        candidates: &[Candidate],
+        bids: &[Candidate],
         by_priority: bool,
     ) -> Option<Candidate> {
         let p = out_port.index();
@@ -165,11 +223,12 @@ impl<P: PacketGenPayload> Router<P> {
             let k = c.order_key;
             if k >= ptr { k - ptr } else { k + 1_000_000 - ptr }
         };
+        let candidates = || bids.iter().filter(|c| c.out.port == out_port).copied();
         let winner = if by_priority {
-            let max = candidates.iter().map(|c| c.priority).max()?;
-            candidates.iter().filter(|c| c.priority == max).copied().min_by_key(distance)?
+            let max = candidates().map(|c| c.priority).max()?;
+            candidates().filter(|c| c.priority == max).min_by_key(distance)?
         } else {
-            candidates.iter().copied().min_by_key(distance)?
+            candidates().min_by_key(distance)?
         };
         self.rr[p] = winner.order_key + 1;
         Some(winner)
@@ -239,6 +298,39 @@ mod tests {
         assert_eq!(w1.order_key, 0);
         let w2 = r.pick_winner(Port::Local, &cands, true).unwrap();
         assert_eq!(w2.order_key, 3);
+    }
+
+    #[test]
+    fn bids_for_other_ports_are_ignored() {
+        let mut r = router();
+        let mut other = cand(0, 7);
+        other.out.port = Port::Link(crate::coord::Direction::East);
+        let bids = vec![other, cand(4, 0)];
+        let w = r.pick_winner(Port::Local, &bids, true).unwrap();
+        assert_eq!(w.order_key, 4, "the higher-priority bid targets another port");
+        assert!(r.pick_winner(Port::Link(crate::coord::Direction::West), &bids, true).is_none());
+    }
+
+    #[test]
+    fn push_and_pop_keep_the_occupancy_mask() {
+        let mut r = router();
+        let flit = |id| Flit {
+            packet_id: PacketId::new(id),
+            head: None,
+            tail: true,
+            eligible_at: Cycle::ZERO,
+        };
+        r.push_flit(2, 5, flit(1));
+        r.push_flit(2, 5, flit(2));
+        r.push_flit(0, 1, flit(3));
+        assert_eq!(r.occupied, (1 << (2 * 8 + 5)) | (1 << 1));
+        assert_eq!(r.occupied, r.occupied_from_buffers());
+        assert!(r.pop_flit(2, 5).is_some());
+        assert_eq!(r.occupied, (1 << (2 * 8 + 5)) | (1 << 1), "one flit left");
+        assert!(r.pop_flit(2, 5).is_some());
+        assert!(r.pop_flit(0, 1).is_some());
+        assert_eq!((r.occupied, r.buffered_flits()), (0, 0));
+        assert!(r.pop_flit(0, 1).is_none());
     }
 
     #[test]

@@ -90,9 +90,10 @@ impl<T> EventWheel<T> {
         DrainDue { wheel: self, now }
     }
 
-    /// The due cycle of the earliest pending event, if any.
-    ///
-    /// Useful for fast-forwarding quiescent simulations.
+    /// The due cycle of the earliest pending event, if any: the first
+    /// cycle at which [`pop_due`](Self::pop_due) can return something,
+    /// so an owner whose only timed work lives here can skip its tick
+    /// until then.
     pub fn next_due(&self) -> Option<Cycle> {
         self.heap.peek().map(|e| e.due)
     }

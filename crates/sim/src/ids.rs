@@ -30,6 +30,9 @@ impl Cycle {
     /// The start of simulation.
     pub const ZERO: Cycle = Cycle(0);
 
+    /// A cycle no simulation reaches: "never" in due-time bookkeeping.
+    pub const MAX: Cycle = Cycle(u64::MAX);
+
     /// Creates a cycle from a raw count.
     pub const fn new(raw: u64) -> Self {
         Cycle(raw)

@@ -788,7 +788,7 @@ impl HomeCore {
             }
         }
         if let Some(pos) =
-            // lint: allow(scan) — parked_acks is a flat buffer bounded at 64 entries
+            // Linear probe: parked_acks is a flat buffer bounded at 64 entries
             entry.parked_acks.iter().position(|(c, ts)| *c == core && *ts == stopped_at)
         {
             entry.parked_acks.remove(pos);
@@ -838,7 +838,7 @@ impl HomeCore {
                 // home is the protocol's ack deduplicator.
                 o.notes.push(HomeNote::AckParked);
                 let dup =
-                    // lint: allow(scan) — parked_acks is a flat buffer bounded at 64 entries
+                    // Linear probe: parked_acks is a flat buffer bounded at 64 entries
                     entry.parked_acks.iter().any(|(c, ts)| *c == from && *ts == inv_sent_at);
                 if !dup {
                     entry.parked_acks.push((from, inv_sent_at));

@@ -38,7 +38,6 @@ impl SimRng {
     }
 
     /// Returns the next 64 random bits.
-    #[inpg_hot::hot]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.state[0]
             .wrapping_add(self.state[3])

@@ -1,15 +1,15 @@
 //! The interprocedural hot-path auditor (`cargo xtask audit`).
 //!
-//! Where the lint passes enforce purity on functions *declared* hot
-//! (`#[hot]` attributes, `HOTPATH.txt` manifests), the auditor derives
+//! The auditor is the only checker of the per-cycle path. It derives
 //! hotness from the program itself: it builds the workspace call graph
 //! ([`crate::callgraph`]), seeds it with the per-cycle entry points of
-//! the simulator loop, and flags every heap allocation, panic path,
-//! wall-clock read, hash-collection use, and linear directory scan that
-//! is *transitively reachable* from those seeds. A helper three hops
-//! below `L1Core::handle` is exactly as hot as `handle` itself, and the
-//! auditor treats it that way — no annotation required, no annotation
-//! to forget.
+//! the simulator loop, and flags every heap allocation, panic path and
+//! linear directory scan that is *transitively reachable* from those
+//! seeds. A helper three hops below `L1Core::handle` is exactly as hot
+//! as `handle` itself, and the auditor treats it that way — no
+//! annotation required, no annotation to forget. Rules that hold for
+//! whole crates (hash collections, wall-clock reads, unwrap) belong to
+//! `cargo xtask lint` instead, which covers every audited crate.
 //!
 //! Enforcement is baseline-driven: every finding is keyed by
 //! `kind|file|function|needle` and counted, and the current finding map
@@ -20,21 +20,14 @@
 //! match `lint`/`analyze`: 0 clean, 2 findings, 3 internal or parse
 //! error.
 //!
-//! Two further passes ride on the same graph:
-//!
-//! * **sync** — every atomic-ordering use and every
-//!   `Mutex`/`Condvar`/`Atomic*` construction in the concurrency
-//!   kernels (`crates/sim/src/coverage.rs`, `crates/campaign/src`)
-//!   must carry a `// sync:` justification comment (same line or the
-//!   comment block directly above) explaining why the chosen ordering
-//!   or primitive is correct;
-//! * **redundant** — `#[hot]` attributes and `HOTPATH.txt` entries on
-//!   functions the call graph already reaches from the seeds are
-//!   reported as redundant: reachability supersedes the manual
-//!   annotation, which should be deleted rather than left to rot.
+//! One further pass rides along: **sync** — every atomic-ordering use
+//! and every `Mutex`/`Condvar`/`Atomic*` construction in the
+//! concurrency kernels (`crates/sim/src/coverage.rs`,
+//! `crates/campaign/src`) must carry a `// sync:` justification comment
+//! (same line or the comment block directly above) explaining why the
+//! chosen ordering or primitive is correct.
 
 use crate::callgraph::{self, CallGraph, FnNode};
-use crate::hotpath::{self, ALLOC_NEEDLES, SCAN_NEEDLES};
 use crate::lint::{line_of, occurrences};
 use crate::parse::{ParseError, SourceSet};
 use inpg_campaign::json::Json;
@@ -73,20 +66,29 @@ const PANIC_NEEDLES: &[(&str, &str)] = &[
     ("assert_ne!(", "release-mode assert (`assert_ne!`)"),
 ];
 
-/// Wall-clock needles: the per-cycle path must be deterministic and
-/// syscall-free; time belongs to the harness boundary
-/// (`HarnessClock` in `campaign/src/clock.rs`).
-const WALLCLOCK_NEEDLES: &[(&str, &str)] = &[
-    ("Instant::now", "wall-clock read (`Instant::now`)"),
-    ("SystemTime::now", "wall-clock read (`SystemTime::now`)"),
+/// Allocation needles: heap allocation, collection growth, string
+/// construction and clones of simulation state.
+const ALLOC_NEEDLES: &[(&str, &str)] = &[
+    ("Box::new", "heap allocation (`Box::new`)"),
+    ("vec![", "heap allocation (`vec![`)"),
+    (".to_vec()", "heap allocation (`.to_vec()`)"),
+    (".to_string(", "string allocation (`.to_string`)"),
+    ("String::from(", "string allocation (`String::from`)"),
+    ("format!(", "string allocation (`format!`)"),
+    (".collect(", "collection allocation (`.collect`)"),
+    (".push(", "collection growth (`.push`)"),
+    (".extend(", "collection growth (`.extend`)"),
+    (".insert(", "collection growth (`.insert`)"),
+    (".clone(", "clone of simulation state (`.clone`)"),
 ];
 
-/// Hash-collection needles: iteration order is nondeterministic, and
-/// SipHash costs more than the keyed BTree lookups the simulator uses.
-const HASH_NEEDLES: &[(&str, &str)] = &[
-    ("HashMap", "hash collection (`HashMap`)"),
-    ("HashSet", "hash collection (`HashSet`)"),
-];
+/// Linear-scan needles: sharer lookups over directory state go through
+/// keyed `BTreeMap`/`BTreeSet` structures, so a probe of a directory
+/// collection is a finding (a bounded one is blessed in the baseline).
+const SCAN_NEEDLES: &[&str] = &[".iter().position(", ".iter().any(", ".iter().find("];
+
+/// Files holding directory (home-node) state, where the scan pass runs.
+const DIRECTORY_FILES: &[&str] = &["home.rs"];
 
 /// Files whose synchronization sites require `// sync:` justifications:
 /// the coverage bitset plus the whole campaign runtime (worker pool,
@@ -111,8 +113,7 @@ const SYNC_CTOR_NEEDLES: &[&str] = &[
 /// for the report.
 #[derive(Debug, Clone)]
 pub struct AuditFinding {
-    /// `alloc` | `panic` | `wallclock` | `hash` | `scan` | `sync` |
-    /// `redundant`.
+    /// `alloc` | `panic` | `scan` | `sync`.
     pub kind: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -147,11 +148,25 @@ pub struct Audit {
 /// Runs every audit pass over the workspace at `root`, loading sources
 /// through the shared `SourceSet`.
 pub fn run(root: &Path, sources: &mut SourceSet) -> Result<Audit, ParseError> {
-    let graph = callgraph::build(root, sources)?;
+    let mut audit = run_for(root, sources, callgraph::AUDITED_CRATES, SEEDS)?;
+    audit.findings.extend(sync_findings(root, sources)?);
+    audit.findings.sort_by(|a, b| a.key().cmp(&b.key()).then(a.line.cmp(&b.line)));
+    Ok(audit)
+}
+
+/// The reachability audit over an explicit crate list and seed list
+/// (tests use fixture trees, as with [`callgraph::build_for`]).
+pub fn run_for(
+    root: &Path,
+    sources: &mut SourceSet,
+    crates: &'static [&'static str],
+    seeds: &[(&str, &str, &str)],
+) -> Result<Audit, ParseError> {
+    let graph = callgraph::build_for(root, sources, crates)?;
 
     // Resolve seeds; an unresolvable seed is tooling rot, not a finding.
     let mut seed_ids = Vec::new();
-    for (file, impl_type, name) in SEEDS {
+    for (file, impl_type, name) in seeds {
         let ids = graph.resolve_named(file, Some(impl_type), name);
         if ids.is_empty() {
             return Err(ParseError {
@@ -167,11 +182,7 @@ pub fn run(root: &Path, sources: &mut SourceSet) -> Result<Audit, ParseError> {
     }
     let reached = graph.reachable(&seed_ids);
 
-    let mut findings = reachability_findings(root, sources, &graph, &reached)?;
-    findings.extend(sync_findings(root, sources)?);
-    findings.extend(redundancy_findings(root, sources, &graph, &reached)?);
-    findings.sort_by(|a, b| a.key().cmp(&b.key()).then(a.line.cmp(&b.line)));
-
+    let findings = reachability_findings(root, sources, &graph, &reached)?;
     Ok(Audit { nodes: graph.nodes.len(), reachable: reached.len(), findings })
 }
 
@@ -195,12 +206,8 @@ fn reachability_findings(
     graph: &CallGraph,
     reached: &BTreeMap<usize, Option<usize>>,
 ) -> Result<Vec<AuditFinding>, ParseError> {
-    let passes: &[(&'static str, &[(&str, &str)])] = &[
-        ("alloc", ALLOC_NEEDLES),
-        ("panic", PANIC_NEEDLES),
-        ("wallclock", WALLCLOCK_NEEDLES),
-        ("hash", HASH_NEEDLES),
-    ];
+    let passes: &[(&'static str, &[(&str, &str)])] =
+        &[("alloc", ALLOC_NEEDLES), ("panic", PANIC_NEEDLES)];
     let mut out = Vec::new();
     for &id in reached.keys() {
         let node = &graph.nodes[id];
@@ -211,10 +218,7 @@ fn reachability_findings(
                 push_needle_finding(&mut out, sf, node, kind, needle, what, &chain);
             }
         }
-        if hotpath::DIRECTORY_FILES
-            .iter()
-            .any(|f| node.file.to_string_lossy().ends_with(f))
-        {
+        if DIRECTORY_FILES.iter().any(|f| node.file.to_string_lossy().ends_with(f)) {
             for needle in SCAN_NEEDLES {
                 push_needle_finding(
                     &mut out,
@@ -253,7 +257,7 @@ fn push_needle_finding(
         let at = from + p;
         from = at + 1;
         // Word boundary for bare-word needles: `debug_assert!` must not
-        // match `assert!`, `FxHashMap` must not match `HashMap`.
+        // match `assert!`.
         if word_start {
             let prev = text[..at].bytes().last();
             if prev.is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
@@ -381,79 +385,6 @@ fn sync_justified(lines: &[&str], line: usize) -> bool {
         }
     }
     false
-}
-
-/// Pass 3: manual hot annotations superseded by reachability. Checks
-/// every audited crate's `HOTPATH.txt` entries and `#[hot]` attributes
-/// against the reachable set.
-fn redundancy_findings(
-    root: &Path,
-    sources: &mut SourceSet,
-    graph: &CallGraph,
-    reached: &BTreeMap<usize, Option<usize>>,
-) -> Result<Vec<AuditFinding>, ParseError> {
-    let mut out = Vec::new();
-    for krate in callgraph::AUDITED_CRATES {
-        let crate_dir = root.join("crates").join(krate);
-        // Manifest entries naming reachable functions.
-        let manifest = hotpath::manifest(&crate_dir).map_err(|e| ParseError {
-            file: crate_dir.join("HOTPATH.txt"),
-            line: 1,
-            detail: format!("cannot read manifest: {e}"),
-        })?;
-        for (file, fn_name, line) in manifest.entries() {
-            let suffix = Path::new(krate).join(file);
-            let ids = graph.resolve_named(&suffix.to_string_lossy(), None, fn_name);
-            if ids.iter().any(|id| reached.contains_key(id)) {
-                out.push(AuditFinding {
-                    kind: "redundant",
-                    file: format!("crates/{krate}/HOTPATH.txt"),
-                    func: format!("{}::{fn_name}", file.display()),
-                    needle: "manifest".into(),
-                    detail: format!(
-                        "HOTPATH.txt entry `{}::{fn_name}` is redundant — the function \
-                         is reachable from the audit seeds, so `cargo xtask audit` \
-                         already enforces its purity; delete the entry",
-                        file.display()
-                    ),
-                    line,
-                    count: 1,
-                });
-            }
-        }
-        // `#[hot]` attributes on reachable functions.
-        for (id, node) in graph.nodes.iter().enumerate() {
-            if node.krate != *krate || !reached.contains_key(&id) {
-                continue;
-            }
-            let sf = node_source(root, sources, node)?;
-            let attr_ends = hotpath::hot_attr_ends(sf.masked(), sf.skip());
-            let marked = attr_ends.iter().any(|end| {
-                *end <= node.fn_kw
-                    && !sf
-                        .fn_bodies()
-                        .iter()
-                        .any(|other| other.fn_kw > *end && other.fn_kw < node.fn_kw)
-            });
-            if marked {
-                out.push(AuditFinding {
-                    kind: "redundant",
-                    file: node.file.to_string_lossy().into_owned(),
-                    func: node.qualified(),
-                    needle: "#[hot]".into(),
-                    detail: format!(
-                        "`#[hot]` on `{}` is redundant — the function is reachable \
-                         from the audit seeds; delete the attribute (and the \
-                         `inpg-hot` dependency if it was the last use)",
-                        node.qualified()
-                    ),
-                    line: node.line,
-                    count: 1,
-                });
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Serializes the audit to its canonical JSON artifact (byte-stable:

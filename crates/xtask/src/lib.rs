@@ -5,7 +5,6 @@
 pub mod audit;
 pub mod callgraph;
 pub mod coverage;
-pub mod hotpath;
 pub mod lint;
 pub mod matrix;
 pub mod parse;

@@ -1,57 +1,46 @@
-//! The protocol-crate lint engine: a hand-rolled token scanner (the
-//! build environment has no registry access, so `syn` is not an
-//! option) enforcing the invariants the simulator's correctness
-//! arguments lean on.
+//! The whole-crate source-rule lint (`cargo xtask lint`): a
+//! hand-rolled token scanner (the build environment has no registry
+//! access, so `syn` is not an option) enforcing the invariants the
+//! simulator's correctness arguments lean on.
 //!
-//! Rules scoped to the protocol crates (`coherence`, `noc`,
-//! `manycore`), skipping `#[cfg(test)]` regions and `tests/`/`benches/`
+//! The lint and the auditor (`crate::audit`) split the static rules
+//! between them, one enforcer per rule. The lint owns every rule that
+//! holds for a whole crate, wherever the code runs: unwrap, wildcard,
+//! hash, wall-clock and stale waivers. The auditor owns every rule that
+//! holds only on the per-cycle path (allocation, panic paths and
+//! directory scans in functions reachable from the simulator's
+//! per-cycle seeds) plus the `// sync:` justification audit.
+//!
+//! Rules, skipping `#[cfg(test)]` regions and `tests/`/`benches/`
 //! trees:
 //!
-//! 1. **unwrap** — no `.unwrap()` / `.expect(` in protocol code. A
-//!    protocol-level surprise must surface as a typed
-//!    `CoherenceError`/`SimError`, not a panic that takes the whole
-//!    simulated machine down with a generic message.
+//! 1. **unwrap** — no `.unwrap()` / `.expect(` in the protocol crates
+//!    (`coherence`, `noc`, `manycore`) and the campaign crates
+//!    (`campaign`, `stats`). A protocol-level surprise must surface as
+//!    a typed `CoherenceError`/`SimError`, not a panic that takes the
+//!    whole simulated machine down with a generic message. The campaign
+//!    service (`serve`/`submit`) is a resident process whose failures
+//!    must surface as typed wire replies or journaled drains (poisoned
+//!    locks are recovered with `unwrap_or_else(PoisonError::into_inner)`,
+//!    fallible I/O returns `io::Result`), and a panic inside the
+//!    estimator would take down an adaptive campaign mid-flight.
 //! 2. **wildcard** — no bare `_` arm in a `match` whose patterns name a
-//!    protocol enum (`CoherenceMsg`, `State`, `DirState`, `EiPhase`).
-//!    Adding a message or state variant must break the build at every
-//!    handler, not silently fall through an old catch-all.
-//! 3. **hash** — no `HashMap`/`HashSet` in simulation state. Iteration
-//!    order feeds the event order, and hash iteration order is
-//!    unspecified; deterministic replay needs `BTreeMap`/`BTreeSet`.
-//!
-//! Rules covering the campaign crate (`campaign`), whose determinism
-//! argument — byte-identical merged artifacts across worker counts and
-//! cache states — leans on cell execution and result merging never
-//! seeing the host:
-//!
-//! 4. **wallclock** — no `Instant`/`SystemTime` in the campaign crate
-//!    outside its dedicated harness-boundary module (`clock.rs`, which
-//!    carries in-place waivers). Wall time may only be attached at the
-//!    harness boundary; it must never feed a cell record or the merge.
-//!    The `hash` rule applies to the campaign crate too, for the same
-//!    iteration-order reason — and so does the `unwrap` rule: the
-//!    campaign service (`serve`/`submit`) is a resident process whose
-//!    failures must surface as typed wire replies or journaled drains,
-//!    never as a panic (poisoned locks are recovered with
-//!    `unwrap_or_else(PoisonError::into_inner)`, fallible I/O returns
-//!    `io::Result`).
-//!
-//! Rules feeding the hot-loop roadmap (see `hotpath` for the scans):
-//!
-//! 5. **hot** — no heap allocation (`Box::new`, `vec![`, growth via
-//!    `.push(`/`.insert(`/`.extend(`/`.collect(`), no `.clone()` of
-//!    simulation state, and no string formatting inside functions
-//!    marked `#[hot]` (the `inpg-hot` attribute) or listed in a
-//!    per-crate `HOTPATH.txt` manifest.
-//! 6. **scan** — no linear iterator scans (`.iter().position(`,
-//!    `.iter().any(`, `.iter().find(`) over directory-state collections
-//!    (sharer lookups must go through keyed `BTreeMap`/`BTreeSet`
-//!    structures; bounded linear probes need an explicit waiver naming
-//!    the bound).
-//! 7. **stale** — every `lint: allow(<kind>)` waiver must suppress at
-//!    least one finding of a rule that ran on its file; an obsolete
-//!    waiver is itself a finding, so dead justifications cannot
-//!    accumulate.
+//!    protocol enum (`CoherenceMsg`, `State`, `DirState`, `EiPhase`),
+//!    in the protocol crates. Adding a message or state variant must
+//!    break the build at every handler, not silently fall through an
+//!    old catch-all.
+//! 3. **hash** — no `HashMap`/`HashSet` in any linted crate. Iteration
+//!    order feeds the event (or merge) order, and hash iteration order
+//!    is unspecified; deterministic replay needs `BTreeMap`/`BTreeSet`.
+//! 4. **wallclock** — no `Instant`/`SystemTime` in any linted crate
+//!    outside the campaign's harness-boundary module (`clock.rs`, which
+//!    carries in-place waivers). Simulated time is the cycle counter;
+//!    wall time may only be attached at the harness boundary and must
+//!    never feed a cell record or the merge.
+//! 5. **stale** — every `lint: allow(<kind>)` waiver must suppress at
+//!    least one finding of a rule that ran on its file, and must name a
+//!    lint rule at all; an obsolete or misspelt waiver is itself a
+//!    finding, so dead justifications cannot accumulate.
 //!
 //! A violation can be waived in place with a justification marker on
 //! the same line or an immediately preceding comment line:
@@ -60,9 +49,8 @@
 //! // lint: allow(unwrap) — <why this cannot fail>
 //! ```
 //!
-//! (kinds: `unwrap`, `wildcard`, `hash`, `wallclock`, `hot`, `scan`).
+//! (kinds: `unwrap`, `wildcard`, `hash`, `wallclock`).
 
-use crate::hotpath;
 use crate::parse::{ParseError, SourceFile, SourceSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -70,19 +58,14 @@ use std::path::{Path, PathBuf};
 /// Crates the protocol rules apply to (directory names under `crates/`).
 pub const PROTOCOL_CRATES: &[&str] = &["coherence", "noc", "manycore"];
 
-/// Crates the campaign rules apply to.
-pub const CAMPAIGN_CRATES: &[&str] = &["campaign"];
+/// Crates the campaign rules apply to: the campaign runtime and the
+/// statistics crate whose estimator feeds its adaptive stopping rule.
+pub const CAMPAIGN_CRATES: &[&str] = &["campaign", "stats"];
 
 /// Kernel crates: deterministic foundations linted for hash collections
-/// and hot-path discipline (their panics are contract assertions, so the
+/// and wall-clock reads (their panics are contract assertions, so the
 /// unwrap rule does not apply).
-pub const KERNEL_CRATES: &[&str] = &["sim", "locks"];
-
-/// The statistics crate: the estimator feeds the adaptive stopping rule,
-/// so it gets the campaign-grade discipline — no panicking shortcuts, no
-/// iteration-order-dependent collections, no wall-clock reads outside
-/// the harness boundary.
-pub const STATS_CRATES: &[&str] = &["stats"];
+pub const KERNEL_CRATES: &[&str] = &["sim", "locks", "workloads", "core"];
 
 /// Enums whose matches must not hide behind a catch-all.
 pub const PROTOCOL_ENUMS: &[&str] =
@@ -95,36 +78,29 @@ pub enum Rule {
     Wildcard,
     Hash,
     WallClock,
-    HotAlloc,
-    LinearScan,
     StaleWaiver,
 }
 
-/// The rule set enforced on [`PROTOCOL_CRATES`].
-pub const PROTOCOL_RULES: &[Rule] = &[
-    Rule::Unwrap,
-    Rule::Wildcard,
-    Rule::Hash,
-    Rule::HotAlloc,
-    Rule::LinearScan,
-    Rule::StaleWaiver,
-];
+/// The rules a `lint: allow(<kind>)` waiver can name.
+const WAIVABLE: &[Rule] = &[Rule::Unwrap, Rule::Wildcard, Rule::Hash, Rule::WallClock];
 
-/// The rule set enforced on [`CAMPAIGN_CRATES`]. The unwrap rule
-/// joined with the campaign service: a daemon must degrade through
-/// typed replies and journaled drains, never panic a resident process
-/// serving other clients.
+/// The rule set enforced on [`PROTOCOL_CRATES`].
+pub const PROTOCOL_RULES: &[Rule] =
+    &[Rule::Unwrap, Rule::Wildcard, Rule::Hash, Rule::WallClock, Rule::StaleWaiver];
+
+/// The rule set enforced on [`CAMPAIGN_CRATES`].
 pub const CAMPAIGN_RULES: &[Rule] =
-    &[Rule::Unwrap, Rule::Hash, Rule::WallClock, Rule::HotAlloc, Rule::StaleWaiver];
+    &[Rule::Unwrap, Rule::Hash, Rule::WallClock, Rule::StaleWaiver];
 
 /// The rule set enforced on [`KERNEL_CRATES`].
-pub const KERNEL_RULES: &[Rule] = &[Rule::Hash, Rule::HotAlloc, Rule::StaleWaiver];
+pub const KERNEL_RULES: &[Rule] = &[Rule::Hash, Rule::WallClock, Rule::StaleWaiver];
 
-/// The rule set enforced on [`STATS_CRATES`]: a panic inside the
-/// estimator would take down an adaptive campaign mid-flight, a
-/// wall-clock read would make the stopping rule nondeterministic.
-pub const STATS_RULES: &[Rule] =
-    &[Rule::Unwrap, Rule::Hash, Rule::WallClock, Rule::StaleWaiver];
+/// Every linted crate group with its rule set.
+pub const CRATE_GROUPS: &[(&[&str], &[Rule])] = &[
+    (PROTOCOL_CRATES, PROTOCOL_RULES),
+    (CAMPAIGN_CRATES, CAMPAIGN_RULES),
+    (KERNEL_CRATES, KERNEL_RULES),
+];
 
 impl Rule {
     pub(crate) fn kind(self) -> &'static str {
@@ -133,8 +109,6 @@ impl Rule {
             Rule::Wildcard => "wildcard",
             Rule::Hash => "hash",
             Rule::WallClock => "wallclock",
-            Rule::HotAlloc => "hot",
-            Rule::LinearScan => "scan",
             Rule::StaleWaiver => "stale",
         }
     }
@@ -344,13 +318,13 @@ struct WaiverSite {
 
 /// All waiver markers of one file, with usage tracking: a marker that
 /// suppresses no finding by the end of the file's passes is stale.
-pub(crate) struct Waivers {
+struct Waivers {
     sites: Vec<WaiverSite>,
 }
 
 impl Waivers {
     /// Collects every `lint: allow(<kind>)` marker in `source`.
-    pub(crate) fn collect(source: &str) -> Self {
+    fn collect(source: &str) -> Self {
         let mut sites = Vec::new();
         for (idx, text) in source.lines().enumerate() {
             if let Some(p) = text.find("lint: allow(") {
@@ -380,7 +354,7 @@ impl Waivers {
     /// Is a marker of `kind` present on `line` or the block of
     /// comment-only lines immediately above it? Marks the matching
     /// marker as used.
-    pub(crate) fn check(&mut self, lines: &[&str], line: usize, kind: &str) -> bool {
+    fn check(&mut self, lines: &[&str], line: usize, kind: &str) -> bool {
         if self.mark(line, kind) {
             return true;
         }
@@ -398,9 +372,9 @@ impl Waivers {
         false
     }
 
-    /// Findings for markers that suppressed nothing, restricted to
-    /// `kinds` (the kinds whose rules actually ran on this file) and to
-    /// markers outside `#[cfg(test)]` ranges.
+    /// Findings for markers outside `#[cfg(test)]` ranges that name no
+    /// waivable rule, or that suppressed nothing although their rule is
+    /// in `kinds` (the kinds whose rules actually ran on this file).
     fn stale(
         &self,
         path: &Path,
@@ -413,19 +387,34 @@ impl Waivers {
             .collect();
         self.sites
             .iter()
-            .filter(|s| !s.used && kinds.contains(&s.kind.as_str()))
             .filter(|s| {
                 let pos = line_starts.get(s.line - 1).copied().unwrap_or(0);
                 !in_ranges(pos, skip)
             })
-            .map(|s| Finding {
-                file: path.to_path_buf(),
-                line: s.line,
-                rule: Rule::StaleWaiver,
-                detail: format!(
-                    "stale waiver: `lint: allow({})` suppresses no finding — remove it",
-                    s.kind
-                ),
+            .filter_map(|s| {
+                let detail = if !WAIVABLE.iter().any(|r| r.kind() == s.kind) {
+                    let known: Vec<String> =
+                        WAIVABLE.iter().map(|r| format!("`{}`", r.kind())).collect();
+                    format!(
+                        "unknown waiver: `lint: allow({})` names no lint rule — use one of \
+                         {}, or make it a plain comment",
+                        s.kind,
+                        known.join(", ")
+                    )
+                } else if !s.used && kinds.contains(&s.kind.as_str()) {
+                    format!(
+                        "stale waiver: `lint: allow({})` suppresses no finding — remove it",
+                        s.kind
+                    )
+                } else {
+                    return None;
+                };
+                Some(Finding {
+                    file: path.to_path_buf(),
+                    line: s.line,
+                    rule: Rule::StaleWaiver,
+                    detail,
+                })
             })
             .collect()
     }
@@ -596,34 +585,19 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Finding> {
 }
 
 /// Lints one source file against an explicit rule set, dropping parse
-/// errors (use [`lint_source_full`] to see them).
+/// errors (the workspace walk reports them).
 pub fn lint_source_with(path: &Path, source: &str, rules: &[Rule]) -> Vec<Finding> {
-    lint_source_full(path, source, rules, &[]).0
-}
-
-/// Lints one source file against an explicit rule set. `hot_manifest`
-/// lists function names declared hot for this file by its crate's
-/// `HOTPATH.txt`. Returns the findings and any parse errors (code the
-/// scanner could not follow — reported, never silently skipped).
-pub fn lint_source_full(
-    path: &Path,
-    source: &str,
-    rules: &[Rule],
-    hot_manifest: &[String],
-) -> (Vec<Finding>, Vec<ParseError>) {
     let sf = SourceFile::from_text(path.to_path_buf(), source.to_string());
-    lint_file(&sf, rules, hot_manifest)
+    lint_file(&sf, rules).0
 }
 
 /// Lints one already-parsed source file against an explicit rule set.
 /// This is the workspace walk's entry point: the [`SourceFile`] comes
 /// from the shared [`SourceSet`], so its mask, test ranges, and token
 /// artifacts are computed once no matter how many passes read it.
-pub fn lint_file(
-    sf: &SourceFile,
-    rules: &[Rule],
-    hot_manifest: &[String],
-) -> (Vec<Finding>, Vec<ParseError>) {
+/// Returns the findings and any parse errors (code the scanner could
+/// not follow — reported, never silently skipped).
+pub fn lint_file(sf: &SourceFile, rules: &[Rule]) -> (Vec<Finding>, Vec<ParseError>) {
     let path = &sf.path;
     let source = sf.text.as_str();
     let masked = sf.masked();
@@ -729,7 +703,7 @@ pub fn lint_file(
         }
     }
 
-    // Rule 4: wall-clock reads in deterministic campaign code.
+    // Rule 4: wall-clock reads in deterministic code.
     if rules.contains(&Rule::WallClock) {
         for name in ["Instant", "SystemTime"] {
             for at in occurrences(masked, name, skip) {
@@ -748,9 +722,9 @@ pub fn lint_file(
                     line,
                     rule: Rule::WallClock,
                     detail: format!(
-                        "{name} in campaign code — wall time may only be read at the \
-                         harness boundary; cell execution and result merging must be \
-                         pure functions of cell configs. Waive with \
+                        "{name} in deterministic code — wall time may only be read at \
+                         the harness boundary; simulation, cell execution and result \
+                         merging must be pure functions of their configs. Waive with \
                          `// lint: allow(wallclock) — <why this is the harness boundary>`"
                     ),
                 });
@@ -758,20 +732,7 @@ pub fn lint_file(
         }
     }
 
-    // Rule 5: allocation/clone in hot-path functions.
-    if rules.contains(&Rule::HotAlloc) {
-        let (hot_findings, hot_errors) =
-            hotpath::lint_hot(sf, &lines, &mut waivers, hot_manifest);
-        findings.extend(hot_findings);
-        errors.extend(hot_errors);
-    }
-
-    // Rule 6: linear scans over directory state.
-    if rules.contains(&Rule::LinearScan) {
-        findings.extend(hotpath::lint_scans(sf, &lines, &mut waivers));
-    }
-
-    // Rule 7: waivers that suppressed nothing.
+    // Rule 5: waivers that suppressed nothing or name no rule.
     if rules.contains(&Rule::StaleWaiver) {
         let kinds: Vec<&str> = rules
             .iter()
@@ -799,17 +760,15 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lints every linted crate's `src/` tree under `root` (the workspace
-/// root): the protocol crates against [`PROTOCOL_RULES`], the campaign
-/// crate against [`CAMPAIGN_RULES`], the kernel crates against
-/// [`KERNEL_RULES`], the stats crate against [`STATS_RULES`]. `tests/`
-/// and `benches/` trees are exempt by construction. Parse errors are
+/// root) against its group's rule set in [`CRATE_GROUPS`]. `tests/` and
+/// `benches/` trees are exempt by construction. Parse errors are
 /// dropped; see [`lint_workspace_full`].
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     lint_workspace_full(root).map(|(f, _)| f)
 }
 
 /// Like [`lint_workspace`], also returning parse errors (code the
-/// scanner could not follow, or broken `HOTPATH.txt` manifests).
+/// scanner could not follow).
 pub fn lint_workspace_full(
     root: &Path,
 ) -> std::io::Result<(Vec<Finding>, Vec<ParseError>)> {
@@ -826,31 +785,38 @@ pub fn lint_workspace_with(
 ) -> std::io::Result<(Vec<Finding>, Vec<ParseError>)> {
     let mut findings = Vec::new();
     let mut errors = Vec::new();
-    let sets: [(&[&str], &[Rule]); 4] = [
-        (PROTOCOL_CRATES, PROTOCOL_RULES),
-        (CAMPAIGN_CRATES, CAMPAIGN_RULES),
-        (KERNEL_CRATES, KERNEL_RULES),
-        (STATS_CRATES, STATS_RULES),
-    ];
-    for (crates, rules) in sets {
-        for krate in crates {
-            let crate_dir = root.join("crates").join(krate);
-            let manifest = hotpath::manifest(&crate_dir)?;
-            let src = crate_dir.join("src");
+    for (crates, rules) in CRATE_GROUPS {
+        for krate in *crates {
             let mut files = Vec::new();
-            rust_sources(&src, &mut files)?;
+            rust_sources(&root.join("crates").join(krate).join("src"), &mut files)?;
             files.sort();
             for file in files {
-                let rel_in_crate =
-                    file.strip_prefix(&crate_dir).unwrap_or(&file).to_path_buf();
-                let hot_fns = manifest.fns_for(&rel_in_crate);
-                let sf = sources.load(&file)?;
-                let (f, e) = lint_file(sf, rules, &hot_fns);
+                let (f, e) = lint_file(sources.load(&file)?, rules);
                 findings.extend(f);
                 errors.extend(e);
             }
-            errors.extend(manifest.unmatched_errors(&crate_dir, root));
         }
     }
     Ok((findings, errors))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lint is the only hash and wall-clock check: a crate added to
+    /// the audited call graph must not fall outside it.
+    #[test]
+    fn every_audited_crate_is_linted_for_hash_and_wall_clock() {
+        for krate in crate::callgraph::AUDITED_CRATES {
+            let rules = CRATE_GROUPS
+                .iter()
+                .find(|(crates, _)| crates.contains(krate))
+                .map(|(_, rules)| *rules)
+                .unwrap_or_default();
+            for rule in [Rule::Hash, Rule::WallClock] {
+                assert!(rules.contains(&rule), "crate `{krate}` is not linted with {rule:?}");
+            }
+        }
+    }
 }

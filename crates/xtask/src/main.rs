@@ -1,6 +1,8 @@
 //! Workspace automation. Three commands (aliases in `.cargo/config.toml`):
 //!
-//! * `cargo xtask lint` — the protocol/campaign/kernel lint pass.
+//! * `cargo xtask lint` — the whole-crate source rules (unwrap,
+//!   wildcard, hash, wall-clock, stale waivers) over the protocol,
+//!   campaign and kernel crates.
 //! * `cargo xtask analyze [--bless]` — the transition-matrix analyzer:
 //!   parses the declared (state, event) → action matrices, drives the
 //!   timed simulator and the untimed model checker in-process to record
@@ -8,14 +10,17 @@
 //!   the checked-in baseline.
 //! * `cargo xtask audit [--bless]` — the interprocedural hot-path
 //!   auditor: builds the workspace call graph, flags every allocation,
-//!   panic path, wall-clock read, hash collection, and directory scan
-//!   transitively reachable from the per-cycle entry points, audits
-//!   synchronization sites for `// sync:` justifications, and diffs
-//!   the finding map against the blessed baseline.
+//!   panic path and directory scan transitively reachable from the
+//!   per-cycle entry points, audits synchronization sites for
+//!   `// sync:` justifications, and diffs the finding map against the
+//!   blessed baseline.
+//!
+//! Each static rule has exactly one enforcer: whole-crate rules live in
+//! `lint`, per-cycle-path rules in `audit`.
 //!
 //! Exit codes (all commands): 0 clean, 2 findings (lint violations,
 //! coverage regressions, unbaselined audit findings), 3 internal error
-//! (unparseable code, broken manifests, I/O failures). CI treats 2 as
+//! (unparseable code, I/O failures). CI treats 2 as
 //! "fix your change" and 3 as "fix the tooling".
 
 use std::path::{Path, PathBuf};
@@ -73,11 +78,10 @@ fn run_lint(root: &Path) -> ExitCode {
         ExitCode::from(2)
     } else {
         println!(
-            "xtask lint: clean — protocol crates {:?}, campaign crates {:?}, kernel crates {:?}, stats crates {:?}",
+            "xtask lint: clean — protocol crates {:?}, campaign crates {:?}, kernel crates {:?}",
             lint::PROTOCOL_CRATES,
             lint::CAMPAIGN_CRATES,
-            lint::KERNEL_CRATES,
-            lint::STATS_CRATES
+            lint::KERNEL_CRATES
         );
         ExitCode::SUCCESS
     }

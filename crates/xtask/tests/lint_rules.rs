@@ -1,9 +1,11 @@
-//! Acceptance tests for the protocol-crate lint pass: the workspace
-//! itself must be clean, and the fixture with a wildcard arm over
-//! `CoherenceMsg` must fail.
+//! Acceptance tests for the whole-crate lint pass: the workspace
+//! itself must be clean, the fixture with a wildcard arm over
+//! `CoherenceMsg` must fail, and stale or unknown waivers are findings.
 
 use std::path::{Path, PathBuf};
-use xtask::lint::{lint_source, lint_source_with, lint_workspace, Rule, CAMPAIGN_RULES};
+use xtask::lint::{
+    lint_source, lint_source_with, lint_workspace, Rule, CAMPAIGN_RULES, KERNEL_RULES,
+};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap().to_path_buf()
@@ -97,8 +99,10 @@ fn measure() -> u64 {
     let findings = lint_source_with(Path::new("f.rs"), src, CAMPAIGN_RULES);
     assert_eq!(findings.len(), 3, "{findings:?}"); // use, Instant::now, SystemTime::now
     assert!(findings.iter().all(|f| f.rule == Rule::WallClock));
-    // The default (protocol) rule set must not flag wall-clock types.
-    assert!(lint_source(Path::new("f.rs"), src).is_empty());
+    // Every crate group is linted for wall-clock reads, so the protocol
+    // and kernel rule sets flag the same sites.
+    assert_eq!(lint_source(Path::new("f.rs"), src).len(), 3);
+    assert_eq!(lint_source_with(Path::new("f.rs"), src, KERNEL_RULES).len(), 3);
 }
 
 #[test]
@@ -137,4 +141,51 @@ fn f(s: CoreState) -> u8 {
 }
 "#;
     assert!(lint_source(Path::new("f.rs"), src).is_empty());
+}
+
+#[test]
+fn a_waiver_suppressing_nothing_is_stale() {
+    let src = r#"
+fn stamp() -> u64 {
+    // lint: allow(hash) — left behind after a refactor
+    42
+}
+"#;
+    let findings = lint_source_with(Path::new("f.rs"), src, CAMPAIGN_RULES);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::StaleWaiver);
+    assert!(findings[0].detail.contains("hash"), "{}", findings[0].detail);
+}
+
+#[test]
+fn an_active_waiver_is_not_stale() {
+    let src = r#"
+use std::collections::HashMap; // lint: allow(hash) — boundary-only map
+"#;
+    let findings = lint_source_with(Path::new("f.rs"), src, CAMPAIGN_RULES);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn a_waiver_naming_no_rule_is_a_finding() {
+    let src = r#"
+fn probe(xs: &[u8]) -> bool {
+    // lint: allow(scan) — scans are the audit's business, not a lint kind
+    xs.iter().any(|x| *x == 3)
+}
+fn a(x: Option<u8>) -> u8 {
+    // lint: allow(unwarp) — misspelt, so it waives nothing
+    x.unwrap()
+}
+"#;
+    let findings = lint_source(Path::new("f.rs"), src);
+    let rules: Vec<(usize, Rule)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+    assert_eq!(
+        rules,
+        [(3, Rule::StaleWaiver), (7, Rule::StaleWaiver), (8, Rule::Unwrap)],
+        "{findings:?}"
+    );
+    assert!(findings[0].detail.contains("allow(scan)"), "{}", findings[0].detail);
+    assert!(findings[1].detail.contains("allow(unwarp)"), "{}", findings[1].detail);
+    assert!(findings[1].detail.contains("names no lint rule"), "{}", findings[1].detail);
 }

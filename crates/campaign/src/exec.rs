@@ -127,7 +127,7 @@ pub fn run_cell(
 
 /// The message of a caught panic: `panic!` payloads are `&str` or
 /// `String`; anything else is reported as such.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())

@@ -15,7 +15,6 @@
 //! * [`suites`] — the named cell sets (one per paper figure + smoke).
 //! * [`cache`] — the on-disk content-addressed result cache.
 //! * [`pool`] — the thread pool: an atomic cursor over cell indices.
-//! * [`admission`] — the round-robin admission queue (loom-model-checked).
 //! * [`exec`] — the cell pipeline shared by engine and daemon: cache
 //!   resolve/quarantine, isolated timed runs, dedup, artifact writing.
 //! * [`engine`] — cache resolution, pooled execution, canonical merge.
@@ -37,7 +36,6 @@
 //!   backed by either the engine or the daemon fleet.
 
 pub mod adaptive;
-pub mod admission;
 pub mod bench_out;
 pub mod cache;
 pub mod cell;

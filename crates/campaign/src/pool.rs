@@ -5,7 +5,7 @@
 //! claim is noise and per-worker deques, chunked claims and stealing
 //! buy nothing: a worker that finishes early simply claims the next
 //! unclaimed index. This module owns the worker scope and the
-//! claiming; panic isolation is [`run_indexed_isolated`].
+//! claiming; panic isolation is per cell, in `exec::run_cell`.
 //!
 //! The pool is deliberately order-oblivious: results come back indexed
 //! by task, whatever order they finished in, and the campaign engine
@@ -13,10 +13,8 @@
 //! 1-worker and N-worker runs byte-identical downstream. No wall clock
 //! in here — timing belongs to the harness boundary (`exec::run_cell`).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::exec::panic_message;
 
 /// Runs `task(i)` for every `i in 0..n` on `workers` threads, returning
 /// the results indexed by task. `workers` is clamped to `1..=n` (a
@@ -63,25 +61,6 @@ where
     results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Like [`run_indexed`], but each task runs under `catch_unwind`: a
-/// panicking task yields `Err` with its panic message while every other
-/// task still runs to completion. One poisoned cell must not wedge the
-/// pool or discard the results its siblings already computed.
-pub fn run_indexed_isolated<T, F>(
-    n: usize,
-    workers: usize,
-    task: F,
-) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed(n, workers, |i| {
-        catch_unwind(AssertUnwindSafe(|| task(i)))
-            .map_err(|payload| panic_message(payload.as_ref()))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,21 +104,6 @@ mod tests {
             .map(|m| format!("{:?}", m.lock().unwrap().expect("ran")))
             .collect();
         assert!(distinct.len() > 1, "work must spread across threads");
-    }
-
-    #[test]
-    fn a_panicking_task_is_isolated_and_the_rest_complete() {
-        let results = run_indexed_isolated(16, 4, |i| {
-            assert!(i != 5, "task five exploded");
-            i * 2
-        });
-        for (i, r) in results.iter().enumerate() {
-            match r {
-                Ok(v) if i != 5 => assert_eq!(*v, i * 2),
-                Err(msg) if i == 5 => assert!(msg.contains("task five exploded"), "{msg}"),
-                other => panic!("slot {i}: unexpected {other:?}"),
-            }
-        }
     }
 
     #[test]

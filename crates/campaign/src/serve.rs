@@ -14,11 +14,12 @@
 //!   [`AbortHandle`] (the run ends with `SimError::Aborted` at its next
 //!   poll point) and answered with the same typed timeout. The pool is
 //!   never wedged by a slow cell.
-//! * **Backpressure** — the admission queue is bounded. Beyond the
-//!   bound, requests are shed with [`Reply::Overloaded`] and an honest
-//!   `retry_after_ms`, not buffered without limit. Queued work is
-//!   served round-robin across connections, so one greedy client
-//!   cannot starve the rest.
+//! * **Backpressure** — the admission queue is one bounded FIFO.
+//!   Beyond the bound, requests are shed with [`Reply::Overloaded`] and
+//!   an honest `retry_after_ms`, not buffered without limit. A
+//!   connection reads its next request only once its current one is
+//!   answered, so it holds at most one queued job and no client can
+//!   wait behind more than `queue_capacity` pops.
 //! * **Graceful drain** — a shutdown request or SIGTERM/SIGINT flips
 //!   the daemon into draining: new submits are refused with
 //!   [`Reply::Draining`], in-flight cells finish and answer normally,
@@ -44,7 +45,6 @@
 //! never block a worker: they travel through the same unbounded channel
 //! as the final reply, and a disconnected client merely loses them.
 
-use crate::admission::Admission;
 use crate::cache::ResultCache;
 use crate::cell::{CellConfig, CellRecord};
 use crate::clock::Deadline;
@@ -54,7 +54,7 @@ use crate::json::Json;
 use crate::protocol::{Notification, Reply, Request, ServiceStatus};
 use inpg_manycore::SimError;
 use inpg_sim::AbortHandle;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -129,15 +129,30 @@ impl Job {
     }
 }
 
-/// Removes queued jobs whose deadline has passed (the generic drain
-/// lives in [`Admission::drain_where`]).
-fn drain_expired(adm: &mut Admission<Job>) -> Vec<Job> {
-    adm.drain_where(|job| job.deadline.is_some_and(|d| d.expired()))
+/// The admission queue: one FIFO of admitted jobs plus the daemon state
+/// read under the same lock.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Jobs popped but not yet answered.
+    in_flight: usize,
+    /// Set once the daemon refuses new submits.
+    draining: bool,
+}
+
+/// Removes queued jobs whose deadline has passed, keeping the
+/// survivors in order.
+fn drain_expired(queue: &mut Queue) -> VecDeque<Job> {
+    let (expired, live) = std::mem::take(&mut queue.jobs)
+        .into_iter()
+        .partition(|job| job.deadline.is_some_and(|d| d.expired()));
+    queue.jobs = live;
+    expired
 }
 
 /// Everything the daemon's threads share.
 struct Shared {
-    admission: Mutex<Admission<Job>>,
+    queue: Mutex<Queue>,
     work_ready: Condvar,
     cache: Option<ResultCache>,
     opts: ServeOptions,
@@ -157,15 +172,15 @@ struct Shared {
 }
 
 impl Shared {
-    fn admission(&self) -> MutexGuard<'_, Admission<Job>> {
-        self.admission.lock().unwrap_or_else(PoisonError::into_inner)
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn status(&self) -> ServiceStatus {
-        let adm = self.admission();
+        let queue = self.queue();
         ServiceStatus {
-            queued: adm.queued() as u64,
-            in_flight: adm.in_flight as u64,
+            queued: queue.jobs.len() as u64,
+            in_flight: queue.in_flight as u64,
             // sync: Relaxed — independent monotone counters; a snapshot
             // is advisory (stats line), so cross-counter skew is fine.
             hits: self.hits.load(Ordering::Relaxed), // sync: relaxed stat counter
@@ -173,7 +188,7 @@ impl Shared {
             timeouts: self.timeouts.load(Ordering::Relaxed), // sync: relaxed stat counter
             rejected: self.rejected.load(Ordering::Relaxed), // sync: relaxed stat counter
             quarantined: self.quarantined.load(Ordering::Relaxed), // sync: relaxed stat counter
-            draining: adm.draining,
+            draining: queue.draining,
         }
     }
 
@@ -183,14 +198,13 @@ impl Shared {
     /// with [`wake_accept`](Self::wake_accept).
     fn initiate_drain(&self) -> u64 {
         let jobs = {
-            let mut adm = self.admission();
-            if adm.draining {
+            let mut queue = self.queue();
+            if queue.draining {
                 return 0;
             }
-            adm.draining = true;
-            let jobs = adm.drain_all();
+            queue.draining = true;
             self.work_ready.notify_all();
-            jobs
+            std::mem::take(&mut queue.jobs)
         };
         let configs: Vec<CellConfig> = jobs.iter().map(|j| j.config.clone()).collect();
         let journaled = match &self.opts.journal {
@@ -262,8 +276,8 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
         // sync: the admission queue is the daemon's one blocking lock;
         // `work_ready` is only ever waited on while holding it, and no
         // other lock is taken inside that critical section.
-        admission: Mutex::new(Admission::default()),
-        work_ready: Condvar::new(), // sync: paired with `admission` above
+        queue: Mutex::new(Queue::default()),
+        work_ready: Condvar::new(), // sync: paired with `queue` above
         cache,
         opts: opts.clone(),
         hits: AtomicU64::new(0), // sync: relaxed stat counter
@@ -272,7 +286,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
         rejected: AtomicU64::new(0), // sync: relaxed stat counter
         quarantined: AtomicU64::new(0), // sync: relaxed stat counter
         // sync: leaf lock — deadline registration/expiry never takes
-        // `admission` (or any other lock) while holding it.
+        // `queue` (or any other lock) while holding it.
         inflight_deadlines: Mutex::new(BTreeMap::new()),
         next_deadline_id: AtomicU64::new(0), // sync: relaxed unique-ID source
         stopped: AtomicBool::new(false), // sync: SeqCst stop flag, see `store`
@@ -306,7 +320,8 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     // at once. Every drain (a shutdown request on a handler thread,
     // once answered; a signal seen by the timer thread) ends with a
     // throwaway connection that wakes it; that connection, like any
-    // other racing the drain, is dropped unanswered.
+    // other racing the drain, is dropped unanswered. Connection ids
+    // only name handler threads.
     let mut next_conn_id: u64 = 1;
     loop {
         let stream = match listener.accept() {
@@ -317,7 +332,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
                 break;
             }
         };
-        if shared.admission().draining {
+        if shared.queue().draining {
             break;
         }
         let conn_id = next_conn_id;
@@ -325,7 +340,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
         let handler_shared = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
             .name(format!("serve-conn-{conn_id}"))
-            .spawn(move || handle_connection(&handler_shared, stream, conn_id));
+            .spawn(move || handle_connection(&handler_shared, stream));
         if let Err(e) = spawned {
             // The unspawned closure drops the stream, closing it.
             eprintln!("serve: cannot spawn a handler for connection {conn_id}: {e}; dropped it");
@@ -338,7 +353,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
         let _ = worker.join();
     }
     // sync: SeqCst — the stop flag must be globally ordered against the
-    // admission drain it races with on shutdown, so a worker that misses
+    // queue drain it races with on shutdown, so a worker that misses
     // the flag still observes the drained queue (and vice versa).
     shared.stopped.store(true, Ordering::SeqCst);
     let _ = timer.join();
@@ -362,11 +377,12 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Re-admits journaled cells from a previous daemon's drain. Their
-/// results go to the shared cache; nobody waits on a reply. The journal
-/// file itself is only rewritten at the *next* drain — replay is
-/// idempotent through the cache, so an already-replayed journal costs
-/// verified hits, never duplicate work.
+/// Re-admits journaled cells from a previous daemon's drain, ahead of
+/// any live submit. Their results go to the shared cache; nobody waits
+/// on a reply. The journal file itself is only rewritten at the *next*
+/// drain — replay is idempotent through the cache: a worker checks the
+/// cache when it pops a job, so an already-finished cell costs a
+/// verified hit, never a second run.
 fn replay_journal(shared: &Arc<Shared>) {
     let Some(path) = &shared.opts.journal else { return };
     match journal::load(path) {
@@ -374,15 +390,9 @@ fn replay_journal(shared: &Arc<Shared>) {
         Ok(cells) => {
             eprintln!("serve: replaying {} journaled cell(s)", cells.len());
             let (tx, _discarded_rx) = mpsc::channel();
-            let mut adm = shared.admission();
+            let mut queue = shared.queue();
             for config in cells {
-                // Served from cache if a sibling already finished it.
-                if let Some(_record) = shared.cache_load(&config, &config.content_hash()) {
-                    // sync: Relaxed — monotone stat counter.
-                    shared.hits.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                adm.push(0, Job { config, deadline: None, events: tx.clone() });
+                queue.jobs.push_back(Job { config, deadline: None, events: tx.clone() });
             }
             shared.work_ready.notify_all();
         }
@@ -390,8 +400,10 @@ fn replay_journal(shared: &Arc<Shared>) {
     }
 }
 
-/// One connection: newline-delimited requests, one reply line each.
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
+/// One connection: newline-delimited requests, one reply line each. The
+/// next request is read only after the current one is answered, so a
+/// connection never has more than one job queued.
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -417,7 +429,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
                 return;
             }
             Ok(Request::Submit { config, deadline_ms }) => {
-                handle_submit(shared, config, deadline_ms, conn_id, &mut writer)
+                handle_submit(shared, config, deadline_ms, &mut writer)
             }
         };
         if write_line(&mut writer, &reply.to_json()).is_err() {
@@ -446,7 +458,6 @@ fn handle_submit(
     shared: &Arc<Shared>,
     config: CellConfig,
     deadline_ms: Option<u64>,
-    conn_id: u64,
     writer: &mut impl Write,
 ) -> Reply {
     let hash = config.content_hash();
@@ -458,21 +469,21 @@ fn handle_submit(
     let deadline = deadline_ms.or(shared.opts.default_deadline_ms).map(Deadline::after_ms);
     let (tx, rx) = mpsc::channel();
     let ahead = {
-        let mut adm = shared.admission();
-        if adm.draining {
+        let mut queue = shared.queue();
+        if queue.draining {
             return Reply::Draining;
         }
-        if adm.queued() >= shared.opts.queue_capacity {
+        let queued = queue.jobs.len();
+        if queued >= shared.opts.queue_capacity {
             shared.rejected.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
             // Honest heuristic: the fuller the queue per worker, the
             // longer the suggested backoff.
-            let per_worker = adm.queued() / shared.opts.workers.max(1);
+            let per_worker = queued / shared.opts.workers.max(1);
             return Reply::Overloaded { retry_after_ms: 25 * (1 + per_worker as u64) };
         }
-        let ahead = adm.queued() as u64;
-        adm.push(conn_id, Job { config, deadline, events: tx });
+        queue.jobs.push_back(Job { config, deadline, events: tx });
         shared.work_ready.notify_one();
-        ahead
+        queued as u64
     };
     // The queued note is written outside the admission lock: socket I/O
     // must never extend the daemon's one blocking critical section. The
@@ -495,37 +506,49 @@ fn handle_submit(
     }
 }
 
-/// A resident worker: pop round-robin, honor deadlines, run, store,
-/// reply. Exits when draining and no job is claimable.
+/// A resident worker: pop the oldest job, answer it from the cache if
+/// a sibling finished the same cell while it waited, otherwise honor
+/// its deadline, run, store and reply. Exits when draining and the
+/// queue is empty.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut adm = shared.admission();
+            let mut queue = shared.queue();
             loop {
-                if let Some(job) = adm.pop_next() {
-                    adm.in_flight += 1;
+                if let Some(job) = queue.jobs.pop_front() {
+                    queue.in_flight += 1;
                     break job;
                 }
-                if adm.draining {
+                if queue.draining {
                     return;
                 }
-                adm = shared
+                queue = shared
                     .work_ready
-                    .wait(adm)
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let hash = job.config.content_hash();
-        let _ = job.events.send(JobEvent::Note(Notification::Running { hash: hash.clone() }));
-        let reply = run_job(shared, &job, &hash);
-        if let Reply::Result { wall_nanos, cached: false, .. } = &reply {
-            let _ = job
-                .events
-                .send(JobEvent::Note(Notification::Done { hash, wall_nanos: *wall_nanos }));
-        }
+        let reply = match shared.cache_load(&job.config, &hash) {
+            Some(record) => {
+                shared.hits.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
+                Reply::Result { hash, record, cached: true, wall_nanos: 0 }
+            }
+            None => {
+                let _ =
+                    job.events.send(JobEvent::Note(Notification::Running { hash: hash.clone() }));
+                let reply = run_job(shared, &job, &hash);
+                if let Reply::Result { wall_nanos, cached: false, .. } = &reply {
+                    let _ = job
+                        .events
+                        .send(JobEvent::Note(Notification::Done { hash, wall_nanos: *wall_nanos }));
+                }
+                reply
+            }
+        };
         // Leave the in-flight count before replying, so a client that
         // has its answer never sees its own job still counted.
-        shared.admission().in_flight -= 1;
+        shared.queue().in_flight -= 1;
         job.finish(reply);
     }
 }
@@ -591,7 +614,7 @@ fn deadline_timer_loop(shared: &Arc<Shared>) {
     // sync: SeqCst — pairs with the shutdown `store`; see that site.
     while !shared.stopped.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(5));
-        if sig::termed() && !shared.admission().draining {
+        if sig::termed() && !shared.queue().draining {
             let journaled = shared.initiate_drain();
             shared.wake_accept();
             eprintln!("serve: signal received; draining ({journaled} cell(s) journaled)");
@@ -607,7 +630,7 @@ fn deadline_timer_loop(shared: &Arc<Shared>) {
                 }
             }
         }
-        let expired = drain_expired(&mut shared.admission());
+        let expired = drain_expired(&mut shared.queue());
         for job in expired {
             shared.timeouts.fetch_add(1, Ordering::Relaxed); // sync: relaxed stat counter
             job.finish(Reply::Timeout {
@@ -665,27 +688,24 @@ mod sig {
 mod tests {
     use super::*;
 
-    // Round-robin / drain-all behavior is covered generically in
-    // `crate::admission`; here only the serve-specific deadline
-    // predicate is tested.
     #[test]
     fn expired_queued_jobs_are_separated_from_live_ones() {
-        let mut adm: Admission<Job> = Admission::default();
+        let mut queue = Queue::default();
         let (tx, _rx) = mpsc::channel();
-        for (conn, deadline) in [
+        for (seed, deadline) in [
             (1u64, Some(Deadline::after_ms(0))),
-            (1, None),
-            (2, Some(Deadline::after_ms(3_600_000))),
+            (2, None),
+            (3, Some(Deadline::after_ms(3_600_000))),
         ] {
-            adm.push(
-                conn,
-                Job { config: CellConfig::benchmark("freq"), deadline, events: tx.clone() },
-            );
+            let mut config = CellConfig::benchmark("freq");
+            config.seed = seed;
+            queue.jobs.push_back(Job { config, deadline, events: tx.clone() });
         }
         std::thread::sleep(Duration::from_millis(2));
-        let expired = drain_expired(&mut adm);
+        let expired = drain_expired(&mut queue);
         assert_eq!(expired.len(), 1);
-        assert_eq!(adm.queued(), 2, "undeadlined and future-deadlined jobs stay");
+        let survivors: Vec<u64> = queue.jobs.iter().map(|job| job.config.seed).collect();
+        assert_eq!(survivors, [2, 3], "undeadlined and future-deadlined jobs stay, in order");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!
 //! * deadlines are typed timeouts, not wedged workers;
 //! * the admission bound sheds honestly with a retry hint;
+//! * a queued cell that reached the cache meanwhile is a hit, not a
+//!   second run;
 //! * a graceful drain journals queued cells, and a restarted daemon
 //!   finishes the campaign with a byte-identical merged artifact;
 //! * SIGKILLing one of two daemons sharing a cache mid-campaign loses
@@ -19,6 +21,8 @@ use inpg_campaign::{
     run_adaptive, AdaptiveCampaign, AdaptiveOptions, Campaign, CellConfig, EngineRunner,
     ExecOptions, HeadlineMetric, Notification, Reply, Request, ServiceRunner,
 };
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
@@ -573,6 +577,107 @@ fn a_cache_miss_streams_queued_running_done_notes_in_order() {
     assert_eq!(hit_notes, 0, "cache hits stay single-line");
 
     daemon.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cell_cached_while_its_job_waited_is_answered_as_a_hit() {
+    let dir = scratch("dup");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "1"],
+    );
+    daemon.wait_ready();
+    let campaign = tiny_campaign();
+
+    // Two clients submit the same campaign at once: each cell is queued
+    // twice, and the copy popped second must find the first one's
+    // result in the cache instead of running the cell again.
+    let clients: Vec<_> = ["a", "b"]
+        .into_iter()
+        .map(|tag| {
+            let (campaign, source) = (campaign.clone(), daemon.source());
+            let merged = dir.join(format!("{tag}.jsonl"));
+            std::thread::spawn(move || {
+                submit::run_campaign(
+                    &campaign,
+                    None,
+                    &SubmitOptions {
+                        daemons: vec![source],
+                        workers: 4,
+                        merged_out: Some(merged.clone()),
+                        ..SubmitOptions::default()
+                    },
+                )
+                .expect("concurrent campaign");
+                merged
+            })
+        })
+        .collect();
+    let merged: Vec<PathBuf> =
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect();
+
+    let status = submit::status(&daemon.source()).expect("status");
+    let cells = campaign.cells.len() as u64;
+    assert_eq!(status.misses, cells, "each distinct cell runs once: {status:?}");
+    assert_eq!(status.hits + status.misses, 2 * cells, "{status:?}");
+    assert_eq!(
+        std::fs::read(&merged[0]).unwrap(),
+        std::fs::read(&merged[1]).unwrap(),
+        "both clients merge the same artifact"
+    );
+
+    daemon.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_pipelined_submit_is_not_admitted_while_its_sibling_runs() {
+    let dir = scratch("pipeline");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "1"],
+    );
+    daemon.wait_ready();
+    let addr = daemon.source().resolve().unwrap();
+
+    // Two submits written back to back on one connection: the daemon
+    // reads the second only once the first is answered, so a connection
+    // never holds more than one queued job.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    for seed in [20u64, 21] {
+        let line = Request::Submit { config: slow_cell(seed), deadline_ms: None }
+            .to_json()
+            .to_string_compact()
+            + "\n";
+        stream.write_all(line.as_bytes()).expect("write submit");
+    }
+    stream.flush().expect("flush");
+
+    let mut running = false;
+    for _ in 0..400 {
+        if submit::status(&daemon.source()).is_ok_and(|s| s.in_flight == 1) {
+            running = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(running, "the first submit never started running");
+    for _ in 0..8 {
+        let status = submit::status(&daemon.source()).expect("status");
+        assert_eq!(status.in_flight, 1, "{status:?}");
+        assert_eq!(status.queued, 0, "the pipelined submit was admitted early: {status:?}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
+    // The running cell takes minutes by design; SIGKILL, as the
+    // overflow test does.
+    drop(stream);
+    daemon.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -52,9 +52,6 @@ pub struct System {
     home_due: Vec<Cycle>,
     l1_due: Vec<Cycle>,
     core_due: Vec<Cycle>,
-    /// Core whose delivered packets are logged to stderr
-    /// (`INPG_TRACE_CORE`, debugging aid; read once at construction).
-    trace_core: Option<usize>,
     /// Cooperative abort flag installed by the harness (deadline or
     /// shutdown); polled coarsely inside [`run`](Self::run).
     /// Lives on the system, not the config: [`SystemConfig`] is pure
@@ -178,7 +175,6 @@ impl System {
             l1_due: vec![Cycle::MAX; cores],
             // Every core starts in Dispatch.
             core_due: vec![Cycle::ZERO; cores],
-            trace_core: std::env::var("INPG_TRACE_CORE").ok().and_then(|v| v.parse().ok()),
             abort: None,
         })
     }
@@ -231,9 +227,6 @@ impl System {
         // tile in ascending order (only tiles that received something).
         while let Some((tile, packet)) = self.network.pop_next_delivered() {
             let c = tile.index();
-            if self.trace_core == Some(c) {
-                eprintln!("[{}] core {c} <- {:?} (monitored {:?})", now.as_u64(), packet.payload, self.cores[c].monitored_block());
-            }
             match packet.payload {
                 CoherenceMsg::GetS { .. }
                 | CoherenceMsg::GetX { .. }

@@ -53,7 +53,7 @@ fn main() {
     print_map("Original (Figures 10a/10b)", original);
     print_map("iNPG, all round trips", inpg);
     println!(
-        "iNPG early (router-closed) round trips only — the paper's Figures 10c/10d          plot these: mean {:.1}, max {} over {} trips",
+        "iNPG early (router-closed) round trips only — the paper's Figures 10c/10d plot these: mean {:.1}, max {} over {} trips",
         inpg.invack_early.mean, inpg.invack_early.max, inpg.invack_early.count
     );
     println!(

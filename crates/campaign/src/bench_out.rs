@@ -422,6 +422,7 @@ mod tests {
             wall_nanos: wall,
             latencies_nanos: p50_pool.to_vec(),
             hit_latencies_nanos: p50_pool.to_vec(),
+            queued_hit_latencies_nanos: Vec::new(),
         };
         let entry =
             write_serve_bench_json(&path, &serve_report(&[2_000_000, 4_000_000], 9_000_000))

@@ -116,8 +116,12 @@ pub struct SubmitReport {
     pub wall_nanos: u64,
     /// Client-measured service latency of every request, nanoseconds.
     pub latencies_nanos: Vec<u64>,
-    /// The subset of latencies answered from cache (warm service time).
+    /// Latencies of cache hits answered at once (warm service time).
     pub hit_latencies_nanos: Vec<u64>,
+    /// Latencies of cache hits answered only after the job waited in a
+    /// daemon's queue (the cell reached the cache meanwhile): they
+    /// include the queue wait, so they are kept apart from warm hits.
+    pub queued_hit_latencies_nanos: Vec<u64>,
 }
 
 impl SubmitReport {
@@ -129,16 +133,17 @@ impl SubmitReport {
 
     /// One stable summary line.
     pub fn summary_line(&self) -> String {
-        let p50 = self.hit_latency_ms(0.5);
-        let p99 = self.hit_latency_ms(0.99);
-        let warm = match (p50, p99) {
-            (Some(p50), Some(p99)) => {
-                format!(", warm p50 {p50:.3}ms p99 {p99:.3}ms")
+        let quantiles = |label: &str, sample: &[u64]| {
+            let ms = |q| percentile_nanos(sample, q).map(|n| n as f64 / 1e6);
+            match (ms(0.5), ms(0.99)) {
+                (Some(p50), Some(p99)) => format!(", {label} p50 {p50:.3}ms p99 {p99:.3}ms"),
+                _ => String::new(),
             }
-            _ => String::new(),
         };
+        let warm = quantiles("warm", &self.hit_latencies_nanos);
+        let queued = quantiles("queued hits", &self.queued_hit_latencies_nanos);
         format!(
-            "submit {}: {} cells ({} executed, {} hits) via {} daemon(s) in {:.2}s{warm}",
+            "submit {}: {} cells ({} executed, {} hits) via {} daemon(s) in {:.2}s{warm}{queued}",
             self.name,
             self.cells,
             self.executed,
@@ -270,6 +275,7 @@ fn submit_cell(
     for attempt in 0..opts.max_attempts.max(1) {
         let source = &opts.daemons[(shard + failovers) % opts.daemons.len()];
         let clock = HarnessClock::start();
+        let mut queued = false;
         let outcome = source.resolve().and_then(|addr| {
             request_streaming(
                 &addr,
@@ -278,6 +284,7 @@ fn submit_cell(
                     deadline_ms: opts.deadline_ms,
                 },
                 |note| {
+                    queued |= matches!(note, Notification::Queued { .. });
                     if opts.progress {
                         render_note(&spec.label, note);
                     }
@@ -289,6 +296,7 @@ fn submit_cell(
                 return Ok(CellResolution {
                     record: *record,
                     cached,
+                    queued,
                     latency_nanos: Some(clock.elapsed_nanos()),
                 })
             }
@@ -326,6 +334,9 @@ pub struct CellResolution {
     /// the answering request was a cache hit, or the cell was a dedup
     /// sibling of an identical one.
     pub cached: bool,
+    /// Whether the daemon queued the request before answering it (a
+    /// `queued` note arrived ahead of the reply).
+    pub queued: bool,
     /// Client-measured round-trip latency; `None` for dedup siblings
     /// (served by the owner's round trip, no wire traffic of their own).
     pub latency_nanos: Option<u64>,
@@ -401,7 +412,12 @@ pub fn run_cells(
             reply.clone()
         } else {
             // A dedup sibling is served by the owner's round trip.
-            CellResolution { record: reply.record.clone(), cached: true, latency_nanos: None }
+            CellResolution {
+                record: reply.record.clone(),
+                cached: true,
+                queued: false,
+                latency_nanos: None,
+            }
         });
     }
     Ok(resolutions)
@@ -428,15 +444,19 @@ pub fn run_campaign(
     let mut executed = 0usize;
     let mut latencies = Vec::new();
     let mut hit_latencies = Vec::new();
+    let mut queued_hit_latencies = Vec::new();
     for (cell, resolution) in cells.iter().zip(&resolutions) {
         match resolution.latency_nanos {
             Some(latency) => {
                 latencies.push(latency);
-                if resolution.cached {
+                if !resolution.cached {
+                    executed += 1;
+                } else if resolution.queued {
+                    hits += 1;
+                    queued_hit_latencies.push(latency);
+                } else {
                     hits += 1;
                     hit_latencies.push(latency);
-                } else {
-                    executed += 1;
                 }
             }
             // A dedup sibling: served by the owner's round trip.
@@ -469,6 +489,7 @@ pub fn run_campaign(
         wall_nanos: clock.elapsed_nanos(),
         latencies_nanos: latencies,
         hit_latencies_nanos: hit_latencies,
+        queued_hit_latencies_nanos: queued_hit_latencies,
     };
 
     if let Some(path) = &opts.merged_out {
@@ -495,6 +516,28 @@ mod tests {
         assert_eq!(percentile_nanos(&sample, 0.5), Some(51), "round(99*0.5)=50 → 51");
         assert_eq!(percentile_nanos(&sample, 0.99), Some(99));
         assert_eq!(percentile_nanos(&sample, 1.0), Some(100));
+    }
+
+    #[test]
+    fn queued_hits_are_summarized_apart_from_warm_hits() {
+        let report = SubmitReport {
+            name: "t".into(),
+            cells: 3,
+            hits: 2,
+            executed: 1,
+            daemons: 1,
+            quarantined: 0,
+            wall_nanos: 1_000_000_000,
+            latencies_nanos: vec![500_000, 40_000_000, 60_000_000],
+            hit_latencies_nanos: vec![500_000],
+            queued_hit_latencies_nanos: vec![40_000_000],
+        };
+        assert_eq!(
+            report.summary_line(),
+            "submit t: 3 cells (1 executed, 2 hits) via 1 daemon(s) in 1.00s, \
+             warm p50 0.500ms p99 0.500ms, queued hits p50 40.000ms p99 40.000ms"
+        );
+        assert_eq!(report.hit_latency_ms(0.5), Some(0.5), "queue wait stays out");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * deadlines are typed timeouts, not wedged workers;
 //! * the admission bound sheds honestly with a retry hint;
 //! * a queued cell that reached the cache meanwhile is a hit, not a
-//!   second run;
+//!   second run, and its latency is not reported as a warm hit;
 //! * a graceful drain journals queued cells, and a restarted daemon
 //!   finishes the campaign with a byte-identical merged artifact;
 //! * SIGKILLing one of two daemons sharing a cache mid-campaign loses
@@ -628,6 +628,63 @@ fn a_cell_cached_while_its_job_waited_is_answered_as_a_hit() {
         std::fs::read(&merged[1]).unwrap(),
         "both clients merge the same artifact"
     );
+
+    daemon.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hit_that_waited_in_the_queue_is_not_a_warm_hit() {
+    let dir = scratch("queued-hit");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "1"],
+    );
+    daemon.wait_ready();
+    let addr = daemon.source().resolve().unwrap();
+    let mut config = quick_cell(Mechanism::Inpg, 40);
+    config.width = 8;
+    config.height = 8;
+
+    // Client A submits the uncached cell and signals once it runs.
+    let (running_tx, running_rx) = std::sync::mpsc::channel();
+    let first = {
+        let config = config.clone();
+        std::thread::spawn(move || {
+            submit::request_streaming(
+                &addr,
+                &Request::Submit { config, deadline_ms: None },
+                |note| {
+                    if matches!(note, Notification::Running { .. }) {
+                        let _ = running_tx.send(());
+                    }
+                },
+            )
+            .expect("first submit")
+        })
+    };
+    running_rx.recv_timeout(Duration::from_secs(30)).expect("the first copy runs");
+
+    // Client B submits the same cell while it runs: the job queues
+    // behind the first and is answered from the cache once that lands.
+    let mut campaign = Campaign::new("queued-hit");
+    campaign.push("cell", config);
+    let report = submit::run_campaign(
+        &campaign,
+        None,
+        &SubmitOptions { daemons: vec![daemon.source()], ..SubmitOptions::default() },
+    )
+    .expect("second submit");
+    match first.join().expect("client thread") {
+        Reply::Result { cached, .. } => assert!(!cached, "the first copy executes"),
+        other => panic!("expected a result, got {other:?}"),
+    }
+    assert_eq!((report.hits, report.executed), (1, 0), "{report:?}");
+    assert!(report.hit_latencies_nanos.is_empty(), "queue wait is no warm hit: {report:?}");
+    assert_eq!(report.queued_hit_latencies_nanos.len(), 1, "{report:?}");
+    assert!(report.summary_line().contains("queued hits p50"), "{}", report.summary_line());
 
     daemon.drain_and_wait();
     let _ = std::fs::remove_dir_all(&dir);

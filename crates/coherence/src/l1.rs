@@ -966,6 +966,11 @@ impl L1Cache {
         }
     }
 
+    /// When the retransmission timer expires, if it is armed.
+    pub fn recovery_deadline(&self) -> Option<Cycle> {
+        self.recovery.as_ref()?.deadline
+    }
+
     /// True when the retransmission timer is armed and retries remain —
     /// the stalled transaction can still make progress on its own, so
     /// watchdog-style invariants must hold fire.

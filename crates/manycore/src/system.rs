@@ -32,6 +32,28 @@ pub struct RunResult {
     pub completed: bool,
 }
 
+/// One due cycle per tile for one kind of component ([`Cycle::MAX`] =
+/// only once poked), plus a lower bound on the earliest of them: a
+/// phase whose bound is still ahead of `now` skips its scan.
+#[derive(Debug, Clone)]
+struct Schedule {
+    due: Vec<Cycle>,
+    /// At most `min(due)`. Every write lowers it; a phase's scan resets
+    /// it to the exact minimum.
+    earliest: Cycle,
+}
+
+impl Schedule {
+    fn new(tiles: usize, at: Cycle) -> Self {
+        Schedule { due: vec![at; tiles], earliest: at }
+    }
+
+    fn set(&mut self, c: usize, at: Cycle) {
+        self.due[c] = at;
+        self.earliest = self.earliest.min(at);
+    }
+}
+
 /// The full simulated machine.
 #[derive(Debug)]
 pub struct System {
@@ -46,12 +68,12 @@ pub struct System {
     now: Cycle,
     outbox: Vec<Envelope>,
     /// Per-tile activity schedule: the first cycle at which each home
-    /// bank's, L1's and core's tick can act ([`Cycle::MAX`] = only once
-    /// poked). A phase ticks only components due by `now`; every event
-    /// that gives a component work refreshes its entry.
-    home_due: Vec<Cycle>,
-    l1_due: Vec<Cycle>,
-    core_due: Vec<Cycle>,
+    /// bank's, L1's and core's tick can act. A phase ticks only
+    /// components due by `now`; every event that gives a component work
+    /// refreshes its entry.
+    home_due: Schedule,
+    l1_due: Schedule,
+    core_due: Schedule,
     /// Cooperative abort flag installed by the harness (deadline or
     /// shutdown); polled coarsely inside [`run`](Self::run).
     /// Lives on the system, not the config: [`SystemConfig`] is pure
@@ -171,10 +193,10 @@ impl System {
             lock_layouts,
             now: Cycle::ZERO,
             outbox: Vec::new(),
-            home_due: vec![Cycle::MAX; cores],
-            l1_due: vec![Cycle::MAX; cores],
+            home_due: Schedule::new(cores, Cycle::MAX),
+            l1_due: Schedule::new(cores, Cycle::MAX),
             // Every core starts in Dispatch.
-            core_due: vec![Cycle::ZERO; cores],
+            core_due: Schedule::new(cores, Cycle::ZERO),
             abort: None,
         })
     }
@@ -235,11 +257,11 @@ impl System {
                 | CoherenceMsg::UnblockS { .. }
                 | CoherenceMsg::UnblockX { .. } => {
                     self.homes[c].handle(packet.payload, now);
-                    self.home_due[c] = self.home_wake(c);
+                    self.home_due.set(c, self.home_wake(c));
                 }
                 CoherenceMsg::OsWakeup { .. } => {
                     self.cores[c].on_wakeup_ipi(now);
-                    self.core_due[c] = self.core_wake(c);
+                    self.core_due.set(c, self.core_wake(c));
                 }
                 msg @ (CoherenceMsg::FwdGetS { .. }
                 | CoherenceMsg::FwdGetX { .. }
@@ -261,37 +283,47 @@ impl System {
                     };
                     if lost.is_some() && self.cores[c].monitored_block() == lost {
                         self.cores[c].on_wakeup_ipi(now);
-                        self.core_due[c] = self.core_wake(c);
+                        self.core_due.set(c, self.core_wake(c));
                     }
                     let mut outbox = std::mem::take(&mut self.outbox);
                     let handled = self.l1s[c].try_handle(msg, now, &mut outbox);
                     self.flush(c, outbox);
-                    self.l1_due[c] = self.l1_wake(c);
+                    self.l1_due.set(c, self.l1_wake(c));
                     handled.map_err(|error| SimError::Protocol { cycle: now, error })?;
                 }
             }
         }
 
-        // 3. Home banks process one request each.
-        for c in 0..cores {
-            if self.home_due[c] > now {
-                continue;
+        // 3. Home banks process one request each. Each phase scans its
+        // schedule only when its bound says something may be due, and
+        // leaves the exact earliest due cycle behind.
+        if self.home_due.earliest <= now {
+            let mut earliest = Cycle::MAX;
+            for c in 0..cores {
+                if self.home_due.due[c] <= now {
+                    let mut outbox = std::mem::take(&mut self.outbox);
+                    let ticked = self.homes[c].try_tick(now, &mut outbox);
+                    self.flush(c, outbox);
+                    self.home_due.due[c] = self.home_wake(c);
+                    ticked.map_err(|error| SimError::Protocol { cycle: now, error })?;
+                }
+                earliest = earliest.min(self.home_due.due[c]);
             }
-            let mut outbox = std::mem::take(&mut self.outbox);
-            let ticked = self.homes[c].try_tick(now, &mut outbox);
-            self.flush(c, outbox);
-            self.home_due[c] = self.home_wake(c);
-            ticked.map_err(|error| SimError::Protocol { cycle: now, error })?;
+            self.home_due.earliest = earliest;
         }
 
         // 4. L1 timers. A completion coming due wakes the waiting core.
-        for c in 0..cores {
-            if self.l1_due[c] > now {
-                continue;
+        if self.l1_due.earliest <= now {
+            let mut earliest = Cycle::MAX;
+            for c in 0..cores {
+                if self.l1_due.due[c] <= now {
+                    self.l1s[c].tick(now);
+                    self.l1_due.due[c] = self.l1_wake(c);
+                    self.core_due.set(c, self.core_wake(c));
+                }
+                earliest = earliest.min(self.l1_due.due[c]);
             }
-            self.l1s[c].tick(now);
-            self.l1_due[c] = self.l1_wake(c);
-            self.core_due[c] = self.core_wake(c);
+            self.l1_due.earliest = earliest;
         }
 
         // 4b. Recovery retransmission timers: a due timer aborts the
@@ -303,21 +335,25 @@ impl System {
                     let mut outbox = std::mem::take(&mut self.outbox);
                     self.l1s[c].fire_recovery(now, &mut outbox);
                     self.flush(c, outbox);
-                    self.l1_due[c] = self.l1_wake(c);
+                    self.l1_due.set(c, self.l1_wake(c));
                 }
             }
         }
 
         // 5. Cores execute.
-        for c in 0..cores {
-            if self.core_due[c] > now {
-                continue;
+        if self.core_due.earliest <= now {
+            let mut earliest = Cycle::MAX;
+            for c in 0..cores {
+                if self.core_due.due[c] <= now {
+                    let mut outbox = std::mem::take(&mut self.outbox);
+                    self.cores[c].tick(now, &mut self.l1s[c], &mut outbox, self.timeline.as_mut());
+                    self.flush(c, outbox);
+                    self.core_due.due[c] = self.core_wake(c);
+                    self.l1_due.set(c, self.l1_wake(c));
+                }
+                earliest = earliest.min(self.core_due.due[c]);
             }
-            let mut outbox = std::mem::take(&mut self.outbox);
-            self.cores[c].tick(now, &mut self.l1s[c], &mut outbox, self.timeline.as_mut());
-            self.flush(c, outbox);
-            self.core_due[c] = self.core_wake(c);
-            self.l1_due[c] = self.l1_wake(c);
+            self.core_due.earliest = earliest;
         }
 
         self.now = now.next();
@@ -386,6 +422,10 @@ impl System {
     /// a periodic check finds the machine in an impossible state, and
     /// [`SimError::Aborted`] when an installed
     /// [abort handle](Self::set_abort) is raised mid-run.
+    ///
+    /// Cycles in which nothing can happen are not stepped: `now` jumps
+    /// over them (see [`quiet_until`](Self::quiet_until)), and the run is
+    /// exactly the one a `try_tick` per cycle produces.
     pub fn run(&mut self) -> Result<RunResult, SimError> {
         let mut watchdog = self.cfg.watchdog_cycles.map(Watchdog::new);
         let interval = self.cfg.invariant_check_interval;
@@ -396,6 +436,10 @@ impl System {
                         return Err(SimError::Aborted { cycle: self.now });
                     }
                 }
+            }
+            if let Some(to) = self.quiet_until(watchdog.as_ref()) {
+                self.now = to;
+                continue;
             }
             self.try_tick()?;
             if let Some(dog) = watchdog.as_mut() {
@@ -410,6 +454,52 @@ impl System {
             }
         }
         Ok(RunResult { cycles: self.now.as_u64(), completed: self.all_done() })
+    }
+
+    /// The cycle `run` may jump to from `now` without stepping, or
+    /// `None` when the next cycle must be ticked.
+    ///
+    /// A jump needs a quiet network (nothing in flight, no live barrier
+    /// table) and no home bank, L1 or core due: every tick before the
+    /// earliest due cycle then changes nothing. The target is also
+    /// capped so that nothing `run` does between ticks is skipped or
+    /// moved: the next 1024-cycle abort poll, `max_cycles`, the last
+    /// cycle before the watchdog window would expire, the last cycle
+    /// before the next invariant-check multiple, the next
+    /// cycle-scheduled fault and, with recovery on, the earliest
+    /// retransmission deadline.
+    fn quiet_until(&self, watchdog: Option<&Watchdog>) -> Option<Cycle> {
+        if !self.network.is_quiet() {
+            return None;
+        }
+        let now = self.now.as_u64();
+        let due = self.home_due.earliest.min(self.l1_due.earliest).min(self.core_due.earliest);
+        let mut to = (now | 0x3ff).saturating_add(1).min(self.cfg.max_cycles).min(due.as_u64());
+        if to <= now {
+            return None;
+        }
+        if let Some(dog) = watchdog {
+            // A skipped observe must neither see new progress nor fire.
+            if dog.last_progress() != self.progress_metric() {
+                return None;
+            }
+            let expires = dog.window_started().as_u64().saturating_add(dog.window());
+            to = to.min(expires.saturating_sub(1));
+        }
+        if let Some(k) = self.cfg.invariant_check_interval {
+            to = to.min((now / k + 1).saturating_mul(k) - 1);
+        }
+        if let Some(at) = self.network.next_scheduled_fault() {
+            to = to.min(at);
+        }
+        if self.cfg.recover {
+            for l1 in &self.l1s {
+                if let Some(deadline) = l1.recovery_deadline() {
+                    to = to.min(deadline.as_u64());
+                }
+            }
+        }
+        (to > now).then_some(Cycle::new(to))
     }
 
     /// The watchdog's forward-progress metric: any flit moving, any
@@ -468,17 +558,27 @@ impl System {
 
         for c in 0..self.cfg.cores() {
             let schedule = [
-                ("home bank", self.home_due[c], self.home_wake(c)),
-                ("L1", self.l1_due[c], self.l1_wake(c)),
-                ("core", self.core_due[c], self.core_wake(c)),
+                ("home bank", &self.home_due, self.home_wake(c)),
+                ("L1", &self.l1_due, self.l1_wake(c)),
+                ("core", &self.core_due, self.core_wake(c)),
             ];
-            for (component, scheduled, due) in schedule {
-                if scheduled != due {
+            for (component, entries, due) in schedule {
+                if entries.due[c] != due {
                     return Err(InvariantViolation::StaleSchedule {
                         cycle: now,
                         component,
                         core: CoreId::new(c),
-                        scheduled,
+                        scheduled: entries.due[c],
+                        due,
+                    });
+                }
+                // The phase bound must not hide this entry.
+                if entries.earliest > due {
+                    return Err(InvariantViolation::StaleSchedule {
+                        cycle: now,
+                        component,
+                        core: CoreId::new(c),
+                        scheduled: entries.earliest,
                         due,
                     });
                 }
@@ -713,11 +813,63 @@ mod tests {
     use super::*;
     use inpg_noc::{BigRouterPlacement, NocConfig};
 
-    fn schedule_entry<'a>(system: &'a mut System, component: &str, c: usize) -> &'a mut Cycle {
+    fn schedule<'a>(system: &'a mut System, component: &str) -> &'a mut Schedule {
         match component {
-            "home bank" => &mut system.home_due[c],
-            "L1" => &mut system.l1_due[c],
-            _ => &mut system.core_due[c],
+            "home bank" => &mut system.home_due,
+            "L1" => &mut system.l1_due,
+            _ => &mut system.core_due,
+        }
+    }
+
+    /// With long compute phases most cycles are quiet, and `quiet_until`
+    /// jumps over them: the loop takes far fewer iterations than cycles.
+    #[test]
+    fn quiet_cycles_are_jumped_over() {
+        let mut cfg = SystemConfig::baseline();
+        cfg.noc = NocConfig { width: 4, height: 4, ..NocConfig::baseline() };
+        let programs =
+            (0..16).map(|_| ThreadProgram::new().rounds(3, 5_000, LockId::new(0), 20)).collect();
+        let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
+        let mut iterations = 0u64;
+        while !system.all_done() {
+            match system.quiet_until(None) {
+                Some(to) => {
+                    assert!(to > system.now, "a jump moves forward");
+                    system.now = to;
+                }
+                None => system.try_tick().expect("fault-free tick"),
+            }
+            iterations += 1;
+        }
+        let cycles = system.now().as_u64();
+        assert!(cycles > 15_000, "{cycles}");
+        assert!(iterations * 2 < cycles, "{iterations} iterations for {cycles} cycles");
+    }
+
+    /// A violation present in a quiet gap is reported after the tick
+    /// that lands on the next check multiple, as when stepping: the jump
+    /// stops one cycle short of it.
+    #[test]
+    fn a_violation_inside_a_quiet_gap_is_caught_on_the_checking_cycle() {
+        let mut cfg = SystemConfig::baseline();
+        cfg.noc = NocConfig { width: 4, height: 4, ..NocConfig::baseline() };
+        cfg.invariant_check_interval = Some(256);
+        let programs =
+            (0..16).map(|_| ThreadProgram::new().rounds(2, 5_000, LockId::new(0), 20)).collect();
+        let mut system = System::new(cfg, programs, 1, LockPlacement::Interleaved).unwrap();
+        while system.now().as_u64() < 300 {
+            system.try_tick().expect("fault-free tick");
+        }
+        // One cycle late, still long after the next check: the jump is
+        // unchanged, but the schedule is stale.
+        let due = system.core_due.due[3];
+        assert!(due.as_u64() > 1_000 && system.network.is_quiet(), "{due}");
+        system.core_due.due[3] = due + 1;
+        match system.run() {
+            Err(SimError::Invariant(InvariantViolation::StaleSchedule { cycle, .. })) => {
+                assert_eq!(cycle, Cycle::new(512));
+            }
+            other => panic!("expected a stale schedule at cycle 512, got {other:?}"),
         }
     }
 
@@ -742,11 +894,12 @@ mod tests {
             system.check_protocol_invariants().expect("consistent schedule");
             for c in 0..16 {
                 for component in ["home bank", "L1", "core"] {
-                    let entry = schedule_entry(&mut system, component, c);
-                    if *entry == Cycle::MAX {
+                    let entries = schedule(&mut system, component);
+                    if entries.due[c] == Cycle::MAX {
                         continue;
                     }
-                    let saved = std::mem::replace(entry, Cycle::MAX);
+                    // A stale entry, then a phase bound that hides it.
+                    let saved = std::mem::replace(&mut entries.due[c], Cycle::MAX);
                     let violation = system.check_protocol_invariants().expect_err("stale entry");
                     assert!(
                         matches!(
@@ -756,8 +909,20 @@ mod tests {
                         ),
                         "{violation}"
                     );
+                    let entries = schedule(&mut system, component);
+                    entries.due[c] = saved;
+                    let bound = std::mem::replace(&mut entries.earliest, Cycle::MAX);
+                    let violation = system.check_protocol_invariants().expect_err("late bound");
+                    assert!(
+                        matches!(
+                            violation,
+                            InvariantViolation::StaleSchedule { component: got, scheduled, .. }
+                                if got == component && scheduled == Cycle::MAX
+                        ),
+                        "{violation}"
+                    );
+                    schedule(&mut system, component).earliest = bound;
                     *caught.entry(component).or_insert(0) += 1;
-                    *schedule_entry(&mut system, component, c) = saved;
                 }
             }
         }

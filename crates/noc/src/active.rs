@@ -29,6 +29,10 @@ impl NodeSet {
         self.words[node / 64] & (1u64 << (node % 64)) != 0
     }
 
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
     /// The smallest member `>= from`. Iterating with
     /// `next_from(node + 1)` visits members in ascending order and sees
     /// removals (and insertions above the cursor) made along the way.

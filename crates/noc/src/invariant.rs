@@ -1,7 +1,7 @@
 //! Typed invariant violations the network's self-checks can report.
 
 use crate::coord::Coord;
-use inpg_sim::Addr;
+use inpg_sim::{Addr, Cycle};
 use std::fmt;
 
 /// One violated network invariant, with enough identity to find the
@@ -53,6 +53,26 @@ pub enum NocViolation {
         /// Configured VC depth.
         depth: usize,
     },
+    /// A router's `wake_at` is later than one of its front flits'
+    /// `eligible_at`: interception and switch allocation would skip a
+    /// router whose flit may move.
+    WakeAt {
+        /// Router coordinate.
+        router: Coord,
+        /// The cached wake cycle.
+        wake_at: Cycle,
+        /// The earliest `eligible_at` over the router's front flits.
+        front: Cycle,
+    },
+    /// The packet slab does not hold exactly the packets found in
+    /// routers (buffered heads plus reassembling packets): a slot leaked
+    /// or was freed while its packet was still in the network.
+    PacketSlab {
+        /// Packets resident in the slab.
+        slab: u64,
+        /// Packets found by walking the router buffers.
+        in_routers: u64,
+    },
     /// A live barrier-table entry has an out-of-range TTL (zero, or above
     /// the configured default — entries must expire, and must never be
     /// refreshed beyond the reset value).
@@ -95,6 +115,15 @@ impl fmt::Display for NocViolation {
                      {occupancy} buffered != depth {depth}"
                 )
             }
+            NocViolation::WakeAt { router, wake_at, front } => write!(
+                f,
+                "router {router}: wake cycle {wake_at} is after its earliest front flit's \
+                 eligible cycle {front}"
+            ),
+            NocViolation::PacketSlab { slab, in_routers } => write!(
+                f,
+                "packet slab holds {slab} packets but {in_routers} were found in routers"
+            ),
             NocViolation::BarrierTtl { router, addr, ttl, max } => write!(
                 f,
                 "barrier TTL out of range at big router {router}: lock {addr} has ttl {ttl} \

@@ -6,8 +6,8 @@ use crate::barrier::{BarrierSnapshot, BarrierStats, LockingBarrierTable};
 use crate::config::NocConfig;
 use crate::coord::{Coord, Direction, Port};
 use crate::invariant::NocViolation;
-use crate::packet::{Packet, PacketGenPayload, PacketId, Sink, VirtualNetwork};
-use crate::router::{Candidate, EjectSlot, Flit, FlitSource, OutRoute, Router};
+use crate::packet::{LockRequest, Packet, PacketGenPayload, PacketId, Sink, VirtualNetwork};
+use crate::router::{Candidate, Flit, FlitSource, Link, OutRoute, PacketSlab, Router, Slot};
 use crate::stats::NocStats;
 use inpg_sim::{ConfigError, CoreId, Cycle};
 use std::collections::VecDeque;
@@ -54,7 +54,8 @@ fn aged_priority<P>(packet: &Packet<P>, now: Cycle) -> u8 {
 /// input VC.
 #[derive(Debug, Clone, Copy)]
 struct InjectProgress {
-    packet_id: PacketId,
+    /// The packet's head flit, the template of its body flits.
+    head: Flit,
     vc: usize,
     sent: u8,
     total: u8,
@@ -70,6 +71,9 @@ struct InjectProgress {
 pub struct Network<P> {
     cfg: NocConfig,
     routers: Vec<Router<P>>,
+    /// Packets whose head flit has entered a router, until delivery or
+    /// consumption.
+    slab: PacketSlab<P>,
     /// Per-node, per-vnet injection queues.
     inject: Vec<Vec<VecDeque<Packet<P>>>>,
     /// Per-node, per-vnet injection progress.
@@ -139,7 +143,16 @@ impl<P: PacketGenPayload> Network<P> {
                     }
                     table
                 });
-            routers.push(Router::new(coord, vcs, cfg.vc_depth, barrier));
+            let mut links = [None; 5];
+            for dir in Direction::ALL {
+                if let Some(n) = coord.neighbor(dir, cfg.width, cfg.height) {
+                    links[Port::Link(dir).index()] = Some(Link {
+                        node: n.to_core(cfg.width).index() as u16,
+                        port: Port::Link(dir.opposite()).index() as u8,
+                    });
+                }
+            }
+            routers.push(Router::new(coord, vcs, cfg.vc_depth, links, barrier));
         }
         Ok(Network {
             inject: (0..nodes).map(|_| (0..cfg.vnets as usize).map(|_| VecDeque::new()).collect()).collect(),
@@ -151,6 +164,7 @@ impl<P: PacketGenPayload> Network<P> {
             delivered_nodes: NodeSet::new(nodes),
             barrier_live: NodeSet::new(nodes),
             bids: Vec::with_capacity(5 * vcs + 1),
+            slab: PacketSlab::new(),
             next_packet_id: 0,
             stats: NocStats::default(),
             fault_rng: cfg.faults.seed ^ 0x6a09_e667_f3bc_c908,
@@ -231,6 +245,32 @@ impl<P: PacketGenPayload> Network<P> {
         self.stats.in_flight
     }
 
+    /// Whether a tick would change nothing but fire a cycle-scheduled
+    /// fault: no packet is in flight or awaiting pickup, and no barrier
+    /// table has a TTL to count down or a degraded state to heal.
+    pub fn is_quiet(&self) -> bool {
+        self.stats.in_flight == 0
+            && self.active_routers.is_empty()
+            && self.inject_active.is_empty()
+            && self.delivered_nodes.is_empty()
+            && self.barrier_live.is_empty()
+    }
+
+    /// The earliest cycle at which a cycle-scheduled fault
+    /// (`barrier-off`, `ttl-storm`, `router-fail`) that has not fired yet
+    /// fires.
+    pub fn next_scheduled_fault(&self) -> Option<u64> {
+        let faults = &self.cfg.faults;
+        [
+            (!self.barrier_disabled).then(|| faults.barrier_off_at()).flatten(),
+            (!self.ttl_storm_fired).then(|| faults.ttl_storm_at()).flatten(),
+            (!self.router_fail_fired).then(|| faults.router_fail_at()).flatten(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
     /// Accumulated network statistics.
     pub fn stats(&self) -> &NocStats {
         &self.stats
@@ -272,12 +312,15 @@ impl<P: PacketGenPayload> Network<P> {
     /// violation as a typed value instead of panicking:
     ///
     /// * every router's occupied-VC mask matches its buffers,
+    /// * every router's `wake_at` is at most its front flits' earliest
+    ///   `eligible_at`, so skipping a router before then skips nothing,
     /// * the router, injection, delivery and barrier-tick active sets
     ///   hold exactly the nodes with work of that kind,
     /// * credits plus downstream buffer occupancy equal the VC depth,
     /// * every live barrier entry's TTL is in `1..=default`,
     /// * packets found by walking every queue and buffer equal
-    ///   `injected + generated - delivered - consumed` (conservation).
+    ///   `injected + generated - delivered - consumed` (conservation),
+    ///   and the packet slab holds exactly the packets found in routers.
     ///
     /// # Errors
     ///
@@ -293,6 +336,15 @@ impl<P: PacketGenPayload> Network<P> {
                     actual,
                 });
             }
+            if let Some(front) = router.earliest_front() {
+                if router.wake_at > front {
+                    return Err(NocViolation::WakeAt {
+                        router: router.coord,
+                        wake_at: router.wake_at,
+                        front,
+                    });
+                }
+            }
             for dir in Direction::ALL {
                 let Some(neighbor) = router.coord.neighbor(dir, self.cfg.width, self.cfg.height)
                 else {
@@ -302,8 +354,8 @@ impl<P: PacketGenPayload> Network<P> {
                 let in_port = Port::Link(dir.opposite()).index();
                 let out_port = Port::Link(dir).index();
                 for vc in 0..vcs {
-                    let credits = router.out_credits[out_port][vc] as usize;
-                    let occupancy = self.routers[n_node].inputs[in_port][vc].occupancy();
+                    let credits = router.out_credits[out_port * vcs + vc] as usize;
+                    let occupancy = self.routers[n_node].occupancy(in_port * vcs + vc);
                     if credits + occupancy != self.cfg.vc_depth as usize {
                         return Err(NocViolation::CreditConservation {
                             router: router.coord,
@@ -344,10 +396,15 @@ impl<P: PacketGenPayload> Network<P> {
                 }
             }
         }
-        let counted = self.count_resident_packets();
+        let (queued, in_routers) = self.count_resident_packets();
+        let counted = queued + in_routers;
         let expected = self.stats.in_flight;
         if counted != expected {
             return Err(NocViolation::PacketConservation { counted, expected });
+        }
+        let slab = self.slab.residents().count() as u64;
+        if slab != in_routers {
+            return Err(NocViolation::PacketSlab { slab, in_routers });
         }
         Ok(())
     }
@@ -360,26 +417,26 @@ impl<P: PacketGenPayload> Network<P> {
     }
 
     /// Counts the packets physically present in the network by walking
-    /// every injection queue, input-VC head flit, generator queue and
-    /// ejection-reassembly slot. Each in-flight packet appears in exactly
-    /// one of those places.
-    fn count_resident_packets(&self) -> u64 {
-        let mut n = 0u64;
+    /// every injection queue, generator queue, input-VC head flit and
+    /// reassembling packet. Each in-flight packet appears in exactly one
+    /// of those places. Returns `(queued, in routers)`: the packets in
+    /// injection and generator queues, and those whose head is buffered
+    /// or has been ejected (the ones the slab should hold).
+    fn count_resident_packets(&self) -> (u64, u64) {
+        let mut queued = 0u64;
         for queues in &self.inject {
             for q in queues {
-                n += q.len() as u64;
+                queued += q.len() as u64;
             }
         }
+        let mut in_routers = self.slab.residents().filter(|r| r.ejected > 0).count() as u64;
         for router in &self.routers {
-            n += router.gen_queue.len() as u64;
-            n += router.eject.len() as u64;
-            for port in &router.inputs {
-                for vc in port {
-                    n += vc.flits.iter().filter(|f| f.head.is_some()).count() as u64;
-                }
+            queued += router.gen_queue.len() as u64;
+            for i in 0..router.inputs.len() {
+                in_routers += router.vc_flits(i).filter(|f| f.is_head()).count() as u64;
             }
         }
-        n
+        (queued, in_routers)
     }
 
     /// Snapshot of every non-empty barrier table:
@@ -428,18 +485,18 @@ impl<P: PacketGenPayload> Network<P> {
                 let _ = write!(out, ", {} in generator queue", router.gen_queue.len());
             }
             let _ = writeln!(out);
-            for (port, vcs) in router.inputs.iter().enumerate() {
-                for (vc, input) in vcs.iter().enumerate() {
-                    if input.occupancy() == 0 {
-                        continue;
-                    }
-                    let _ = writeln!(
-                        out,
-                        "    in port {port} vc {vc}: {} flits (credits out {:?})",
-                        input.occupancy(),
-                        router.out_credits[port][vc],
-                    );
+            for i in 0..router.inputs.len() {
+                if router.occupancy(i) == 0 {
+                    continue;
                 }
+                let _ = writeln!(
+                    out,
+                    "    in port {} vc {}: {} flits (credits out {:?})",
+                    i / router.vcs,
+                    i % router.vcs,
+                    router.occupancy(i),
+                    router.out_credits[i],
+                );
             }
             if let Some(barrier) = &router.barrier {
                 for (addr, ttl, eis) in barrier.snapshot() {
@@ -489,28 +546,40 @@ impl<P: PacketGenPayload> Network<P> {
                     ),
                 );
             }
-            for slot in router.eject.values() {
-                let p = &slot.packet;
+            // The packets reassembling here, oldest (then lowest id) first:
+            // the one a walk in id order would keep.
+            let reassembling = self
+                .slab
+                .residents()
+                .filter(|r| r.ejected > 0 && r.packet.dst == router.coord)
+                .min_by_key(|r| (r.packet.injected_at, r.packet.id));
+            if let Some(resident) = reassembling {
+                let p = &resident.packet;
                 note(
                     p.injected_at,
                     format!(
                         "{} {} {}->{} reassembling at {} ({}/{} flits)",
-                        p.id, p.vnet, p.src, p.dst, router.coord, slot.flits_seen, p.flits
+                        p.id, p.vnet, p.src, p.dst, router.coord, resident.ejected, p.flits
                     ),
                 );
             }
-            for (port, vcs) in router.inputs.iter().enumerate() {
-                for (vc, input) in vcs.iter().enumerate() {
-                    for flit in &input.flits {
-                        if let Some(p) = flit.head.as_deref() {
-                            note(
-                                p.injected_at,
-                                format!(
-                                    "{} {} {}->{} buffered at {} port {port} vc {vc}",
-                                    p.id, p.vnet, p.src, p.dst, router.coord
-                                ),
-                            );
-                        }
+            for i in 0..router.inputs.len() {
+                for flit in router.vc_flits(i).filter(|f| f.is_head()) {
+                    if let Some(resident) = self.slab.get(flit.slot) {
+                        let p = &resident.packet;
+                        note(
+                            p.injected_at,
+                            format!(
+                                "{} {} {}->{} buffered at {} port {} vc {}",
+                                p.id,
+                                p.vnet,
+                                p.src,
+                                p.dst,
+                                router.coord,
+                                i / router.vcs,
+                                i % router.vcs
+                            ),
+                        );
                     }
                 }
             }
@@ -571,63 +640,66 @@ impl<P: PacketGenPayload> Network<P> {
 
     // ---- interception (big-router packet generation) ------------------
 
+    /// Inspects the eligible VC heads of the busy big routers. A router
+    /// whose `wake_at` is still ahead has no eligible head, and
+    /// interception ignores ineligible heads, so it is skipped.
     fn intercept_phase(&mut self, now: Cycle) {
-        let vcs = self.cfg.vcs_per_port();
         let mut next = self.active_routers.next_from(0);
         while let Some(node) = next {
             next = self.active_routers.next_from(node + 1);
-            if !self.routers[node].is_big() {
+            let router = &self.routers[node];
+            if !router.is_big() || router.wake_at > now {
                 continue;
             }
             // Interception only pops, so the VCs occupied now are the
             // only ones with a head to inspect; visiting them in
             // ascending bit order is the (port, vc) order of a full scan.
-            let mut occupied = self.routers[node].occupied;
-            while occupied != 0 {
-                let bit = occupied.trailing_zeros() as usize;
-                occupied &= occupied - 1;
-                self.intercept_vc_head(now, node, bit / vcs, bit % vcs);
+            let (occupied, vcs) = (router.occupied, router.vcs);
+            for port in 0..5 {
+                let mut bits = (occupied >> (port * vcs)) & ((1 << vcs) - 1);
+                while bits != 0 {
+                    let vc = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.intercept_vc_head(now, node, port, vc);
+                }
             }
         }
     }
 
-    /// Inspects the head flit of one input VC and consumes it if it is a
-    /// router-sink ack or a stoppable lock GetX.
+    /// Inspects the head flit of input VC `(port, vc)` and consumes it if
+    /// it is a router-sink ack or a stoppable lock GetX.
     fn intercept_vc_head(&mut self, now: Cycle, node: usize, port: usize, vc: usize) {
         enum Action {
             ConsumeAck,
-            StopGetx,
-            InstallBarrier,
+            StopGetx(LockRequest),
+            InstallBarrier(LockRequest),
         }
         let action = {
             let router = &self.routers[node];
-            let Some(flit) = router.inputs[port][vc].flits.front() else { return };
-            if flit.eligible_at > now {
+            let Some(flit) = router.front(port * router.vcs + vc) else { return };
+            if flit.eligible_at > now || !flit.is_head() {
                 return;
             }
-            let Some(packet) = flit.head.as_deref() else { return };
-            if packet.sink == Sink::Router && packet.dst == router.coord {
+            let ejecting = flit.dst == router.coord;
+            if flit.sinks_at_router() && ejecting {
                 Action::ConsumeAck
-            } else if self.barrier_disabled {
+            } else if self.barrier_disabled || ejecting {
                 // Barrier-off fault: interception is dark, lock requests
-                // pass through like in a normal router.
+                // pass through like in a normal router. A request
+                // ejecting here is never stopped.
                 return;
             } else if let Some(barrier) = &router.barrier {
-                let ejecting = packet.dst == router.coord;
-                match packet.payload.as_lock_request() {
-                    Some(req) if !ejecting => {
-                        if barrier.should_stop(req.addr) {
-                            Action::StopGetx
-                        } else if !barrier.has_barrier(req.addr) {
-                            Action::InstallBarrier
-                        } else {
-                            // Barrier exists but the EI pool is full: the
-                            // request passes through like in a normal
-                            // router (paper §4.1).
-                            return;
-                        }
-                    }
-                    _ => return,
+                let Some(resident) = self.slab.get(flit.slot) else { return };
+                let Some(req) = resident.packet.payload.as_lock_request() else { return };
+                if barrier.should_stop(req.addr) {
+                    Action::StopGetx(req)
+                } else if !barrier.has_barrier(req.addr) {
+                    Action::InstallBarrier(req)
+                } else {
+                    // Barrier exists but the EI pool is full: the
+                    // request passes through like in a normal router
+                    // (paper §4.1).
+                    return;
                 }
             } else {
                 return;
@@ -636,7 +708,7 @@ impl<P: PacketGenPayload> Network<P> {
 
         match action {
             Action::ConsumeAck => {
-                let packet = self.pop_head_packet(node, port, vc);
+                let Some(packet) = self.pop_head_packet(node, port, vc) else { return };
                 self.stats.in_flight -= 1;
                 self.stats.consumed += 1;
                 let coord = self.routers[node].coord;
@@ -676,22 +748,15 @@ impl<P: PacketGenPayload> Network<P> {
                     }
                 }
             }
-            Action::StopGetx => {
-                let packet = self.pop_head_packet(node, port, vc);
+            Action::StopGetx(req) => {
+                let Some(packet) = self.pop_head_packet(node, port, vc) else { return };
                 debug_assert_eq!(packet.flits, 1, "lock GetX must be single-flit");
                 self.stats.in_flight -= 1;
                 self.stats.consumed += 1;
                 let coord = self.routers[node].coord;
-                // lint: allow(unwrap) — Action::StopGetx is only chosen after
-                // as_lock_request() returned Some for this very flit.
-                let req = packet.payload.as_lock_request().expect("checked above");
-                self.routers[node]
-                    .barrier
-                    .as_mut()
-                    // lint: allow(unwrap) — decide_action emits StopGetx only
-                    // when the router has a barrier table (is_big()).
-                    .expect("stop only on big routers")
-                    .stop(req.addr, req.requester);
+                if let Some(barrier) = self.routers[node].barrier.as_mut() {
+                    barrier.stop(req.addr, req.requester);
+                }
                 self.stats.early_invs_generated += 1;
                 let inv = Packet {
                     id: self.alloc_id(),
@@ -720,25 +785,16 @@ impl<P: PacketGenPayload> Network<P> {
                 self.push_generated(node, inv);
                 self.push_generated(node, fwd);
             }
-            Action::InstallBarrier => {
+            Action::InstallBarrier(req) => {
                 // Install at first sight. The paper installs the barrier
                 // when the first GetX is *transferred*; installing when it
                 // reaches the head of an input VC is at most a couple of
                 // cycles earlier and keeps the pipeline model simple.
-                let router = &mut self.routers[node];
-                let req = router.inputs[port][vc]
-                    .flits
-                    .front()
-                    .and_then(|f| f.head.as_deref())
-                    .and_then(|p| p.payload.as_lock_request())
-                    // lint: allow(unwrap) — InstallBarrier is only chosen after
-                    // the same chain returned Some in decide_action.
-                    .expect("checked above");
-                // lint: allow(unwrap) — InstallBarrier only fires on big routers.
-                let barrier = router.barrier.as_mut().expect("big router");
-                barrier.observe_transfer(req.addr);
-                if barrier.needs_tick() {
-                    self.barrier_live.add(node);
+                if let Some(barrier) = self.routers[node].barrier.as_mut() {
+                    barrier.observe_transfer(req.addr);
+                    if barrier.needs_tick() {
+                        self.barrier_live.add(node);
+                    }
                 }
             }
         }
@@ -757,45 +813,29 @@ impl<P: PacketGenPayload> Network<P> {
         self.active_routers.add(node);
     }
 
-    /// Pops the (single-flit) head packet of a VC, returning credit to
-    /// the upstream router.
-    fn pop_head_packet(&mut self, node: usize, port: usize, vc: usize) -> Packet<P> {
-        let flit = self.routers[node]
-            .pop_flit(port, vc)
-            // lint: allow(unwrap) — interception actions are decided while
-            // inspecting this VC's front flit, which stays put until here.
-            .expect("caller checked the flit exists");
-        debug_assert!(flit.tail, "interception only consumes single-flit packets");
-        self.routers[node].inputs[port][vc].route = None;
+    /// Pops the (single-flit) head packet of input VC `(port, vc)`,
+    /// returning credit to the upstream router, and takes it out of the
+    /// slab.
+    fn pop_head_packet(&mut self, node: usize, port: usize, vc: usize) -> Option<Packet<P>> {
+        let router = &mut self.routers[node];
+        let i = port * router.vcs + vc;
+        let flit = router.pop_flit(i)?;
+        debug_assert!(flit.is_tail(), "interception only consumes single-flit packets");
+        router.inputs[i].route = None;
         self.return_credit(node, port, vc);
-        // lint: allow(unwrap) — only head flits carry a lock request, and
-        // decide_action matched on one.
-        *flit.head.expect("caller checked this is a head flit")
+        self.slab.remove(flit.slot)
     }
 
-    /// Returns one credit to whatever feeds `(node, port, vc)`.
+    /// Returns one credit to whatever feeds input VC `(port, vc)` of
+    /// `node`: the neighbour across that port. The local port has no
+    /// neighbour, and the injector checks occupancy directly instead of
+    /// counting credits.
     fn return_credit(&mut self, node: usize, port: usize, vc: usize) {
-        if port == Port::Local.index() {
-            // Injection checks occupancy directly; no credit counter.
-            return;
+        if let Some(link) = self.routers[node].links[port] {
+            // The upstream router's output toward us is the port facing back.
+            let up = &mut self.routers[link.node as usize];
+            up.out_credits[link.port as usize * up.vcs + vc] += 1;
         }
-        let dir = match port {
-            1 => Direction::North,
-            2 => Direction::South,
-            3 => Direction::West,
-            4 => Direction::East,
-            _ => unreachable!("port index out of range"),
-        };
-        let coord = self.routers[node].coord;
-        let upstream = coord
-            .neighbor(dir, self.cfg.width, self.cfg.height)
-            // lint: allow(unwrap) — a flit can only have arrived on a link
-            // port if a neighbour exists in that direction.
-            .expect("link ports always have a neighbour");
-        let upstream_node = upstream.to_core(self.cfg.width).index();
-        // The upstream router's output toward us is the opposite port.
-        let up_port = Port::Link(dir.opposite()).index();
-        self.routers[upstream_node].out_credits[up_port][vc] += 1;
     }
 
     // ---- barrier TTLs --------------------------------------------------
@@ -820,14 +860,19 @@ impl<P: PacketGenPayload> Network<P> {
     // ---- switch allocation & traversal ---------------------------------
 
     /// Switches the routers in `active_routers`, in ascending order. An
-    /// idle router would grant nothing. A flit moved into a router later
-    /// in the order adds it to the set before the cursor gets there, as a
-    /// full sweep would also visit it; a router that ends its own turn
-    /// idle leaves the set (only its own turn pops its buffers).
+    /// idle router would grant nothing, and neither would one whose
+    /// `wake_at` is still ahead with an empty generator: every front flit
+    /// is ineligible, and ineligible flits do not bid. A flit moved into a
+    /// router later in the order adds it to the set before the cursor
+    /// gets there, as a full sweep would also visit it; a router that
+    /// ends its own turn idle leaves the set (only its own turn pops its
+    /// buffers).
     fn switch_phase(&mut self, now: Cycle) {
         let mut next = self.active_routers.next_from(0);
         while let Some(node) = next {
-            self.switch_router(now, node);
+            if self.routers[node].may_switch(now) {
+                self.switch_router(now, node);
+            }
             if self.routers[node].is_idle() {
                 self.active_routers.remove(node);
             }
@@ -863,73 +908,89 @@ impl<P: PacketGenPayload> Network<P> {
         }
     }
 
+    /// The OCOR arbitration priority of the packet at `slot`, aged to
+    /// `now`. Only read when `pick_winner` arbitrates by priority.
+    fn bid_priority(&self, slot: Slot, now: Cycle) -> u8 {
+        if !self.cfg.ocor_arbitration {
+            return 0;
+        }
+        self.slab.get(slot).map_or(0, |resident| aged_priority(&resident.packet, now))
+    }
+
     /// Fills `self.bids` with this cycle's switch bids at `node`: one per
     /// eligible occupied input VC whose flit can advance (route computed,
     /// downstream VC or credit available), plus the generator's front
     /// packet, which bids like a sixth input. Returns the output ports
-    /// bid for, as a mask over `Port::index`.
+    /// bid for, as a mask over `Port::index`. Also recomputes the
+    /// router's `wake_at` as its front flits' earliest `eligible_at`.
     fn collect_bids(&mut self, now: Cycle, node: usize) -> u8 {
-        let router = &self.routers[node];
         let vcs = self.cfg.vcs_per_port();
         let vcs_per_vnet = self.cfg.vcs_per_vnet as usize;
         self.bids.clear();
         let mut bid_ports = 0;
-        let mut occupied = router.occupied;
-        while occupied != 0 {
-            let order_key = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            let (port, vc) = (order_key / vcs, order_key % vcs);
-            let input = &router.inputs[port][vc];
-            let Some(flit) = input.flits.front() else { continue };
-            if flit.eligible_at > now {
-                continue;
-            }
-            let bid = if let Some(packet) = flit.head.as_deref() {
-                // Head flit: route computation + VC allocation.
-                let route_port = match router.coord.xy_next_hop(packet.dst) {
-                    Some(dir) => Port::Link(dir),
-                    None => Port::Local,
-                };
-                if route_port == Port::Local && packet.sink == Sink::Router {
-                    // Router-sink packets are consumed by the
-                    // interception phase, never ejected; leave the
-                    // flit for the next cycle's interception sweep.
+        let mut wake_at = Cycle::MAX;
+        let occupied = self.routers[node].occupied;
+        for port in 0..5 {
+            let mut bits = (occupied >> (port * vcs)) & ((1 << vcs) - 1);
+            while bits != 0 {
+                let vc = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let order_key = port * vcs + vc;
+                let router = &self.routers[node];
+                let Some(flit) = router.front(order_key) else { continue };
+                wake_at = wake_at.min(flit.eligible_at);
+                if flit.eligible_at > now {
                     continue;
                 }
-                let out_vc = if route_port == Port::Local {
-                    0
+                let bid = if flit.is_head() {
+                    // Head flit: route computation + VC allocation.
+                    let route_port = match router.coord.xy_next_hop(flit.dst) {
+                        Some(dir) => Port::Link(dir),
+                        None => Port::Local,
+                    };
+                    if route_port == Port::Local && flit.sinks_at_router() {
+                        // Router-sink packets are consumed by the
+                        // interception phase, never ejected; leave the
+                        // flit for the next cycle's interception sweep.
+                        continue;
+                    }
+                    let out_vc = if route_port == Port::Local {
+                        0
+                    } else {
+                        match router.allocate_vc(route_port, flit.vnet as usize, vcs_per_vnet) {
+                            Some(v) => v,
+                            None => continue, // VA stall
+                        }
+                    };
+                    Candidate {
+                        source: FlitSource::Vc(port, vc),
+                        out: OutRoute { port: route_port, vc: out_vc },
+                        claims_vc: route_port != Port::Local,
+                        priority: self.bid_priority(flit.slot, now),
+                        order_key,
+                    }
                 } else {
-                    match router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet) {
-                        Some(v) => v,
-                        None => continue, // VA stall
+                    // Body flit: follows the route claimed by its head.
+                    let Some(route) = router.inputs[order_key].route else { continue };
+                    if route.port != Port::Local
+                        && router.out_credits[route.port.index() * vcs + route.vc as usize] == 0
+                    {
+                        continue; // no credit downstream
+                    }
+                    Candidate {
+                        source: FlitSource::Vc(port, vc),
+                        out: route,
+                        claims_vc: false,
+                        priority: 0,
+                        order_key,
                     }
                 };
-                Candidate {
-                    source: FlitSource::Vc(port, vc),
-                    out: OutRoute { port: route_port, vc: out_vc },
-                    claims_vc: route_port != Port::Local,
-                    priority: aged_priority(packet, now),
-                    order_key,
-                }
-            } else {
-                // Body flit: follows the route claimed by its head.
-                let Some(route) = input.route else { continue };
-                if route.port != Port::Local
-                    && router.out_credits[route.port.index()][route.vc] == 0
-                {
-                    continue; // no credit downstream
-                }
-                Candidate {
-                    source: FlitSource::Vc(port, vc),
-                    out: route,
-                    claims_vc: false,
-                    priority: 0,
-                    order_key,
-                }
-            };
-            bid_ports |= 1 << bid.out.port.index();
-            self.bids.push(bid);
+                bid_ports |= 1 << bid.out.port.index();
+                self.bids.push(bid);
+            }
         }
+        let router = &mut self.routers[node];
+        router.wake_at = wake_at;
         if let Some(packet) = router.gen_queue.front() {
             let route_port = match router.coord.xy_next_hop(packet.dst) {
                 Some(dir) => Port::Link(dir),
@@ -946,7 +1007,7 @@ impl<P: PacketGenPayload> Network<P> {
                     source: FlitSource::Generator,
                     out: OutRoute { port: route_port, vc: out_vc },
                     claims_vc: route_port != Port::Local,
-                    priority: aged_priority(packet, now),
+                    priority: if self.cfg.ocor_arbitration { aged_priority(packet, now) } else { 0 },
                     order_key: 5 * vcs,
                 });
             }
@@ -956,111 +1017,93 @@ impl<P: PacketGenPayload> Network<P> {
 
     /// Executes one granted switch traversal.
     fn apply_move(&mut self, now: Cycle, node: usize, winner: Candidate) {
+        let vcs = self.cfg.vcs_per_port();
         let flit = match winner.source {
             FlitSource::Vc(port, vc) => {
+                let i = port * vcs + vc;
                 let router = &mut self.routers[node];
-                // lint: allow(unwrap) — the candidate was built from this
-                // VC's front flit in the same cycle; nothing drains between.
-                let flit = router.pop_flit(port, vc).expect("candidate flit exists");
-                let input = &mut router.inputs[port][vc];
-                if flit.head.is_some() {
+                let Some(flit) = router.pop_flit(i) else { return };
+                let input = &mut router.inputs[i];
+                if flit.is_head() {
                     input.route = Some(winner.out);
                 }
-                if flit.tail {
+                if flit.is_tail() {
                     input.route = None;
                 }
                 self.return_credit(node, port, vc);
                 flit
             }
             FlitSource::Generator => {
-                let packet =
-                    // lint: allow(unwrap) — a Generator candidate is only
-                    // emitted when gen_queue has a front packet.
-                    self.routers[node].gen_queue.pop_front().expect("candidate packet exists");
+                let Some(packet) = self.routers[node].gen_queue.pop_front() else { return };
                 debug_assert_eq!(packet.flits, 1, "generated packets are single-flit");
-                Flit {
-                    packet_id: packet.id,
-                    tail: true,
-                    eligible_at: now,
-                    head: Some(Box::new(packet)),
-                }
+                self.admit(packet, now)
             }
         };
         self.stats.flit_hops += 1;
 
-        match winner.out.port {
-            Port::Local => self.eject_flit(now, node, flit),
-            Port::Link(dir) => {
-                let router = &mut self.routers[node];
-                let p = winner.out.port.index();
-                if winner.claims_vc {
-                    debug_assert!(router.out_owner[p][winner.out.vc].is_none());
-                    router.out_owner[p][winner.out.vc] = Some(flit.packet_id);
-                }
-                debug_assert!(router.out_credits[p][winner.out.vc] > 0);
-                router.out_credits[p][winner.out.vc] -= 1;
-                if flit.tail {
-                    router.out_owner[p][winner.out.vc] = None;
-                }
-                let coord = router.coord;
-                let neighbor = coord
-                    .neighbor(dir, self.cfg.width, self.cfg.height)
-                    // lint: allow(unwrap) — XY route computation only picks a
-                    // direction with an in-mesh neighbour.
-                    .expect("route stays on mesh");
-                let n_node = neighbor.to_core(self.cfg.width).index();
-                let in_port = Port::Link(dir.opposite()).index();
-                let mut flit = flit;
-                // One cycle of link traversal plus the downstream router's
-                // RC/VA/SA stage: the flit competes for the next switch two
-                // cycles after leaving this one (2-cycle hop, Table 1's
-                // 2-stage pipelined router).
-                flit.eligible_at = now + 2;
-                self.routers[n_node].push_flit(in_port, winner.out.vc, flit);
-                self.active_routers.add(n_node);
-            }
+        let p = winner.out.port.index();
+        if p == Port::Local.index() {
+            self.eject_flit(now, node, flit);
+            return;
         }
+        let router = &mut self.routers[node];
+        let o = p * vcs + winner.out.vc as usize;
+        if winner.claims_vc {
+            debug_assert!(router.out_owned & (1 << o) == 0);
+            router.out_owned |= 1 << o;
+        }
+        debug_assert!(router.out_credits[o] > 0);
+        router.out_credits[o] -= 1;
+        if flit.is_tail() {
+            router.out_owned &= !(1 << o);
+        }
+        // XY route computation only picks a port with an in-mesh neighbour.
+        let Some(link) = router.links[p] else { return };
+        let mut flit = flit;
+        // One cycle of link traversal plus the downstream router's
+        // RC/VA/SA stage: the flit competes for the next switch two
+        // cycles after leaving this one (2-cycle hop, Table 1's
+        // 2-stage pipelined router).
+        flit.eligible_at = now + 2;
+        let n_node = link.node as usize;
+        self.routers[n_node].push_flit(link.port as usize * vcs + winner.out.vc as usize, flit);
+        self.active_routers.add(n_node);
     }
 
-    /// Accumulates an ejected flit; delivers the packet when complete.
-    fn eject_flit(&mut self, now: Cycle, node: usize, flit: Flit<P>) {
-        let router = &mut self.routers[node];
-        let id = flit.packet_id;
-        if let Some(packet) = flit.head {
-            router.eject.insert(id, EjectSlot { packet, flits_seen: 1 });
-        } else {
-            router
-                .eject
-                .get_mut(&id)
-                // lint: allow(unwrap) — wormhole switching keeps a packet's
-                // flits in order, so the head opened this slot already.
-                .expect("body flit follows its head at ejection")
-                .flits_seen += 1;
+    /// Moves `packet` into the slab and returns its head flit.
+    fn admit(&mut self, packet: Packet<P>, eligible_at: Cycle) -> Flit {
+        let mut head = Flit::head_of(&packet, eligible_at);
+        head.slot = self.slab.store(packet);
+        head
+    }
+
+    /// Counts an ejected flit; delivers the packet when its tail arrives.
+    fn eject_flit(&mut self, now: Cycle, node: usize, flit: Flit) {
+        let Some(resident) = self.slab.get_mut(flit.slot) else { return };
+        resident.ejected += 1;
+        if !flit.is_tail() {
+            return;
         }
-        if flit.tail {
-            // lint: allow(unwrap) — inserted or incremented a few lines up.
-            let slot = router.eject.remove(&id).expect("slot just touched");
-            debug_assert_eq!(slot.flits_seen, slot.packet.flits, "all flits ejected");
-            let packet = *slot.packet;
-            debug_assert_eq!(packet.sink, Sink::NetworkInterface, "router-sink packets are consumed by interception");
-            if self.cfg.faults.drop_ack_nth().is_some() && packet.payload.is_inv_ack() {
-                self.acks_observed += 1;
-                if self.cfg.faults.drop_ack_nth() == Some(self.acks_observed) {
-                    // Fault injection: the acknowledgement vanishes at the
-                    // last hop. Counted as consumed so packet conservation
-                    // still balances; the *protocol* is what breaks.
-                    self.stats.in_flight -= 1;
-                    self.stats.consumed += 1;
-                    self.stats.acks_dropped_by_fault += 1;
-                    return;
-                }
+        debug_assert_eq!(resident.ejected, resident.packet.flits, "all flits ejected");
+        let Some(packet) = self.slab.remove(flit.slot) else { return };
+        debug_assert_eq!(packet.sink, Sink::NetworkInterface, "router-sink packets are consumed by interception");
+        if self.cfg.faults.drop_ack_nth().is_some() && packet.payload.is_inv_ack() {
+            self.acks_observed += 1;
+            if self.cfg.faults.drop_ack_nth() == Some(self.acks_observed) {
+                // Fault injection: the acknowledgement vanishes at the
+                // last hop. Counted as consumed so packet conservation
+                // still balances; the *protocol* is what breaks.
+                self.stats.in_flight -= 1;
+                self.stats.consumed += 1;
+                self.stats.acks_dropped_by_fault += 1;
+                return;
             }
-            let latency = now.saturating_since(packet.injected_at);
-            self.stats.record_delivery(packet.vnet, latency);
-            self.stats.in_flight -= 1;
-            self.delivered[node].push_back(packet);
-            self.delivered_nodes.add(node);
         }
+        let latency = now.saturating_since(packet.injected_at);
+        self.stats.record_delivery(packet.vnet, latency);
+        self.stats.in_flight -= 1;
+        self.delivered[node].push_back(packet);
+        self.delivered_nodes.add(node);
     }
 
     // ---- injection -------------------------------------------------------
@@ -1092,21 +1135,17 @@ impl<P: PacketGenPayload> Network<P> {
     fn try_inject_flit(&mut self, now: Cycle, node: usize, vnet: usize) -> bool {
         let vc_depth = self.cfg.vc_depth as usize;
         let vcs_per_vnet = self.cfg.vcs_per_vnet as usize;
-        let local = Port::Local.index();
+        // The local port's input VCs lead the flat `port * vcs + vc` index.
 
         if let Some(progress) = self.inject_state[node][vnet] {
             // Continue streaming the in-flight packet.
             let router = &mut self.routers[node];
-            if router.inputs[local][progress.vc].occupancy() >= vc_depth {
+            if router.occupancy(progress.vc) >= vc_depth {
                 return false;
             }
             let sent = progress.sent + 1;
             let tail = sent == progress.total;
-            router.push_flit(
-                local,
-                progress.vc,
-                Flit { packet_id: progress.packet_id, head: None, tail, eligible_at: now + 1 },
-            );
+            router.push_flit(progress.vc, progress.head.body(tail, now + 1));
             self.active_routers.add(node);
             self.inject_state[node][vnet] =
                 (!tail).then_some(InjectProgress { sent, ..progress });
@@ -1123,7 +1162,7 @@ impl<P: PacketGenPayload> Network<P> {
         // latter impossible by construction.
         let base = vnet * vcs_per_vnet;
         let vc = (base..base + vcs_per_vnet)
-            .find(|&vc| self.routers[node].inputs[local][vc].occupancy() < vc_depth);
+            .find(|&vc| self.routers[node].occupancy(vc) < vc_depth);
         let Some(vc) = vc else { return false };
         let Some(packet) = self.inject[node][vnet].pop_front() else { return false };
         // Link-drop fault: the nth REQUEST-class packet vanishes at the
@@ -1139,9 +1178,7 @@ impl<P: PacketGenPayload> Network<P> {
                 return false;
             }
         }
-        let id = packet.id;
         let total = packet.flits;
-        let tail = total == 1;
         // Jitter fault: delay this packet's first switch eligibility by a
         // seeded pseudo-random amount. Body flits queue behind the head in
         // the same VC, so per-packet flit order is unaffected.
@@ -1155,15 +1192,11 @@ impl<P: PacketGenPayload> Network<P> {
                 }
             }
         }
-        self.routers[node].push_flit(
-            local,
-            vc,
-            Flit { packet_id: id, head: Some(Box::new(packet)), tail, eligible_at },
-        );
+        let head = self.admit(packet, eligible_at);
+        self.routers[node].push_flit(vc, head);
         self.active_routers.add(node);
-        if !tail {
-            self.inject_state[node][vnet] =
-                Some(InjectProgress { packet_id: id, vc, sent: 1, total });
+        if !head.is_tail() {
+            self.inject_state[node][vnet] = Some(InjectProgress { head, vc, sent: 1, total });
         }
         true
     }
@@ -1411,6 +1444,43 @@ mod tests {
             NocViolation::ActiveSet { set: "barrier-tick", has_work: false, .. }
         ));
         network.barrier_live.remove(0);
+        network.check_invariants();
+    }
+
+    /// A `wake_at` past a front flit's eligibility, and a slab entry that
+    /// no router holds, are both caught.
+    #[test]
+    fn a_late_wake_cycle_and_a_leaked_slot_are_violations() {
+        let mut network = net(NocConfig::paper_default());
+        let mut now = Cycle::ZERO;
+        network.send(now, msg(0, 63, 8));
+        for _ in 0..6 {
+            network.tick(now);
+            now = now.next();
+        }
+        network.check_invariants();
+        let busy = (0..64).find(|&n| network.routers[n].occupied != 0).expect("a flit in the mesh");
+        let saved = network.routers[busy].wake_at;
+        network.routers[busy].wake_at = Cycle::MAX;
+        assert!(matches!(network.try_check_invariants(), Err(NocViolation::WakeAt { .. })));
+        network.routers[busy].wake_at = saved;
+
+        let leaked = network.slab.store(Packet {
+            id: PacketId::new(99),
+            src: Coord::new(0, 0),
+            dst: Coord::new(1, 0),
+            sink: Sink::NetworkInterface,
+            vnet: VirtualNetwork::REQUEST,
+            flits: 1,
+            priority: 0,
+            injected_at: now,
+            payload: OpaquePayload,
+        });
+        assert!(matches!(
+            network.try_check_invariants(),
+            Err(NocViolation::PacketSlab { slab: 2, in_routers: 1 })
+        ));
+        assert!(network.slab.remove(leaked).is_some());
         network.check_invariants();
     }
 

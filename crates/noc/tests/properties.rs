@@ -2,8 +2,11 @@
 //! bounds, and big-router bookkeeping under randomized traffic.
 
 use inpg_noc::packet::{OpaquePayload, Sink, VirtualNetwork};
-use inpg_noc::{BigRouterPlacement, Coord, FaultKind, FaultPlan, Message, Network, NocConfig};
-use inpg_sim::{CoreId, Cycle};
+use inpg_noc::{
+    BigRouterPlacement, Coord, EarlyAck, FaultKind, FaultPlan, LockRequest, Message, Network,
+    NocConfig, PacketGenPayload,
+};
+use inpg_sim::{Addr, CoreId, Cycle};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -255,4 +258,147 @@ fn credit_conservation_holds_every_cycle() {
     }
     network.check_invariants();
     assert_eq!(network.in_flight(), 0);
+}
+
+/// A payload with just enough lock semantics for big routers to
+/// install barriers, stop requests, generate packets and relay acks.
+#[derive(Debug, Clone)]
+enum LockTraffic {
+    Data,
+    Lock(LockRequest),
+    Ack(EarlyAck),
+    Generated,
+}
+
+impl PacketGenPayload for LockTraffic {
+    fn as_lock_request(&self) -> Option<LockRequest> {
+        match self {
+            LockTraffic::Lock(req) => Some(*req),
+            _ => None,
+        }
+    }
+
+    fn as_early_ack(&self) -> Option<EarlyAck> {
+        match self {
+            LockTraffic::Ack(ack) => Some(*ack),
+            _ => None,
+        }
+    }
+
+    fn early_inv(_request: LockRequest, _ack_router: CoreId, _now: Cycle) -> Self {
+        LockTraffic::Generated
+    }
+
+    fn forwarded_getx(&self, _now: Cycle) -> Self {
+        LockTraffic::Generated
+    }
+
+    fn relayed_ack(_ack: EarlyAck, _now: Cycle) -> Self {
+        LockTraffic::Generated
+    }
+}
+
+/// One random send: (src, dst, kind 0..3, flits, vnet, inject cycle).
+type Send = (usize, usize, u8, u8, u8, u64);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The packet slab, the flat VC rings and each router's `wake_at`
+    /// stay consistent every cycle under random multi-flit traffic with
+    /// injection jitter, lock requests that big routers stop, and acks
+    /// they consume and relay, on 2×2–6×6 meshes. The network drains,
+    /// leaving the slab empty.
+    #[test]
+    fn slab_and_wake_bookkeeping_hold_every_cycle(
+        width in 2u8..7,
+        height in 2u8..7,
+        vc_depth in 1u8..5,
+        all_big in any::<bool>(),
+        fault_seed in any::<u64>(),
+        max_extra in 0u64..24,
+        sends in proptest::collection::vec(
+            (0usize..36, 0usize..36, 0u8..3, prop_oneof![Just(1u8), Just(3u8), Just(8u8)], 0u8..4, 0u64..300),
+            1..60,
+        ),
+    ) {
+        let nodes = width as usize * height as usize;
+        let placement =
+            if all_big { BigRouterPlacement::All } else { BigRouterPlacement::Checkerboard };
+        // Router-sink packets are only ever consumed by big routers.
+        let big_router_from = |node: usize| {
+            (node..node + nodes)
+                .map(|n| n % nodes)
+                .find(|&n| placement.is_big(Coord::from_core(CoreId::new(n), width, height), width, height))
+                .expect("a big router")
+        };
+        let cfg = NocConfig {
+            width,
+            height,
+            vc_depth,
+            placement,
+            faults: FaultPlan::none().seeded(fault_seed).with(FaultKind::DelayJitter { max_extra }),
+            ..NocConfig::paper_default()
+        };
+        let mut network: Network<LockTraffic> = Network::new(cfg).expect("valid config");
+        let mut pending: Vec<Send> = sends;
+        pending.sort_by_key(|s| s.5);
+        let mut iter = pending.into_iter().peekable();
+        let mut now = Cycle::ZERO;
+        while now.as_u64() < 80_000 && (iter.peek().is_some() || network.in_flight() > 0) {
+            while iter.peek().is_some_and(|s| s.5 <= now.as_u64()) {
+                let (src, dst, kind, flits, vnet, _) = iter.next().expect("peeked");
+                let (src, dst) = (src % nodes, dst % nodes);
+                let addr = Addr::new(0x1000 + 128 * (dst as u64 % 3));
+                let (sink, vnet, flits, payload) = match kind {
+                    // A lock GetX toward its home: single-flit, REQUEST.
+                    0 => (
+                        Sink::NetworkInterface,
+                        VirtualNetwork::REQUEST,
+                        1,
+                        LockTraffic::Lock(LockRequest {
+                            addr,
+                            requester: CoreId::new(src),
+                            home: CoreId::new(dst),
+                        }),
+                    ),
+                    // An early ack addressed to a big router, which
+                    // consumes it and relays it to the home.
+                    1 => (
+                        Sink::Router,
+                        VirtualNetwork::RESPONSE,
+                        1,
+                        LockTraffic::Ack(EarlyAck {
+                            addr,
+                            from: CoreId::new(src),
+                            home: CoreId::new((src + dst) % nodes),
+                            inv_sent_at: now,
+                        }),
+                    ),
+                    _ => (Sink::NetworkInterface, VirtualNetwork::new(vnet), flits, LockTraffic::Data),
+                };
+                let dst = if sink == Sink::Router { big_router_from(dst) } else { dst };
+                network.send(now, Message {
+                    src: CoreId::new(src),
+                    dst: CoreId::new(dst),
+                    sink,
+                    vnet,
+                    flits,
+                    priority: 0,
+                    payload,
+                });
+            }
+            network.tick(now);
+            if let Err(violation) = network.try_check_invariants() {
+                prop_assert!(false, "cycle {}: {violation}", now.as_u64());
+            }
+            while network.pop_next_delivered().is_some() {}
+            now = now.next();
+        }
+        prop_assert_eq!(network.in_flight(), 0, "the network drains");
+        // The slab check of the invariants now requires an empty slab.
+        if let Err(violation) = network.try_check_invariants() {
+            prop_assert!(false, "after drain: {violation}");
+        }
+    }
 }

@@ -8,6 +8,8 @@
 //! inpg campaign <suite> [campaign options]   run a figure suite in parallel
 //! inpg campaign --list                       list the suites
 //! inpg campaign <suite> --adaptive [...]     run seeds to confidence, not count
+//! inpg report <figure> [--from PATH]         render a figure from a merged artifact
+//!                                            (default results/campaign/<suite>.jsonl)
 //! inpg serve [serve options]                 run the resident campaign daemon
 //! inpg submit <suite> [submit options]       drive a suite through daemon(s)
 //! inpg shutdown [--daemon A | --addr-file P] gracefully drain a daemon
@@ -86,8 +88,9 @@
 use inpg::stats::{pct, speedup, Table};
 use inpg::{Experiment, ExperimentResult, FaultKind, FaultPlan, LockPrimitive, Mechanism, SimError};
 use inpg_campaign::{
-    bench_out, engine, run_adaptive, serve, submit, suites, AddrSource, AdaptiveOptions,
-    EngineRunner, ExecOptions, ReplicaRunner, ServeOptions, ServiceRunner, SubmitOptions,
+    bench_out, engine, report, run_adaptive, serve, submit, suites, AddrSource, AdaptiveOptions,
+    CellRecord, EngineRunner, ExecOptions, ReplicaRunner, ServeOptions, ServiceRunner,
+    SubmitOptions,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -316,19 +319,17 @@ fn cmd_compare(benchmark: &str, options: &Options) -> Result<(), CliError> {
         "CS expedition",
         "Inv-Ack mean",
     ]);
-    let mut base: Option<ExperimentResult> = None;
+    let mut base: Option<CellRecord> = None;
     for mechanism in Mechanism::ALL {
         let mut options = options.clone();
         options.mechanism = mechanism;
-        let r = build(benchmark, &options).run()?;
+        let r = CellRecord::from_result(&build(benchmark, &options).run()?);
         if !r.completed {
             return Err(CliError::Incomplete(format!("{mechanism} hit the cycle bound")));
         }
         let (rel, exp) = match &base {
             None => (1.0, 1.0),
-            Some(b) => {
-                (r.roi_cycles as f64 / b.roi_cycles as f64, b.cs_access_time() / r.cs_access_time())
-            }
+            Some(b) => (r.relative_roi(b), r.cs_expedition(b)),
         };
         table.add_row(vec![
             mechanism.to_string(),
@@ -352,9 +353,9 @@ fn cmd_sweep_primitives(benchmark: &str, options: &Options) -> Result<(), CliErr
         let mut opts = options.clone();
         opts.primitive = primitive;
         opts.mechanism = Mechanism::Original;
-        let base = build(benchmark, &opts).run()?;
+        let base = CellRecord::from_result(&build(benchmark, &opts).run()?);
         opts.mechanism = Mechanism::Inpg;
-        let inpg = build(benchmark, &opts).run()?;
+        let inpg = CellRecord::from_result(&build(benchmark, &opts).run()?);
         if !base.completed || !inpg.completed {
             return Err(CliError::Incomplete(format!("{primitive} hit the cycle bound")));
         }
@@ -362,7 +363,7 @@ fn cmd_sweep_primitives(benchmark: &str, options: &Options) -> Result<(), CliErr
             primitive.to_string(),
             base.roi_cycles.to_string(),
             inpg.roi_cycles.to_string(),
-            pct(1.0 - inpg.roi_cycles as f64 / base.roi_cycles as f64),
+            pct(1.0 - inpg.relative_roi(&base)),
         ]);
     }
     println!("{table}");
@@ -615,9 +616,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
             "engine",
         );
     }
-    // The same seed derivation the fig binaries use for INPG_SEEDS.
-    let seeds: Vec<u64> =
-        (0..parsed.seed_count).map(|i| 0x1a9e_4711 + i * 0x9e37).collect();
+    let seeds = suites::seeds(parsed.seed_count);
     let campaign =
         suites::build(&parsed.suite, parsed.scale, &seeds).ok_or_else(|| {
             CliError::Usage(format!(
@@ -660,6 +659,29 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
             incomplete.join(", ")
         )));
     }
+    Ok(())
+}
+
+fn cmd_report(args: &[String]) -> Result<(), CliError> {
+    let mut figure: Option<&str> = None;
+    let mut from: Option<PathBuf> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--from" => match it.next() {
+                Some(path) => from = Some(PathBuf::from(path)),
+                None => return Err(CliError::Usage("missing value for --from".into())),
+            },
+            other if !other.starts_with("--") && figure.is_none() => figure = Some(other),
+            other => return Err(CliError::Usage(format!("unknown report option `{other}`"))),
+        }
+    }
+    let names: Vec<&str> = report::FIGURES.iter().map(|f| f.name).collect();
+    let figure = figure.ok_or_else(|| {
+        CliError::Usage(format!("missing figure name; one of: {}", names.join(", ")))
+    })?;
+    let text = report::report(figure, from.as_deref()).map_err(|e| CliError::Usage(e.0))?;
+    print!("{text}");
     Ok(())
 }
 
@@ -826,8 +848,7 @@ fn cmd_submit(args: &[String]) -> Result<(), CliError> {
             "serve",
         );
     }
-    let seeds: Vec<u64> =
-        (0..parsed.seed_count).map(|i| 0x1a9e_4711 + i * 0x9e37).collect();
+    let seeds = suites::seeds(parsed.seed_count);
     let campaign =
         suites::build(&parsed.suite, parsed.scale, &seeds).ok_or_else(|| {
             CliError::Usage(format!(
@@ -881,7 +902,7 @@ fn cmd_shutdown(args: &[String]) -> Result<(), CliError> {
 }
 
 fn usage() -> String {
-    "usage: inpg <list|run|compare|sweep-primitives|campaign|serve|submit|shutdown> [operand] [options]\n\
+    "usage: inpg <list|run|compare|sweep-primitives|campaign|report|serve|submit|shutdown> [operand] [options]\n\
      try `inpg list` to see the modelled benchmarks, `inpg campaign --list` for the suites"
         .to_string()
 }
@@ -894,6 +915,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some((cmd, rest)) if cmd == "campaign" => cmd_campaign(rest),
+        Some((cmd, rest)) if cmd == "report" => cmd_report(rest),
         Some((cmd, rest)) if cmd == "serve" => cmd_serve(rest),
         Some((cmd, rest)) if cmd == "submit" => cmd_submit(rest),
         Some((cmd, rest)) if cmd == "shutdown" => cmd_shutdown(rest),

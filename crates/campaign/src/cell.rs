@@ -233,7 +233,7 @@ impl CellConfig {
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Unique human-readable label within the campaign
-    /// (e.g. `freq/iNPG/QSL/s0`); the formatting key for fig binaries.
+    /// (e.g. `freq/iNPG/QSL/s0`); the lookup key `inpg report` uses.
     pub label: String,
     pub config: CellConfig,
 }
@@ -354,8 +354,8 @@ impl InvAckRecord {
     }
 }
 
-/// The deterministic result of one cell: everything the fig binaries
-/// format, nothing wall-clock. A pure function of the cell's config.
+/// The deterministic result of one cell: everything the figures
+/// render, nothing wall-clock. A pure function of the cell's config.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     pub completed: bool,
@@ -417,7 +417,20 @@ impl CellRecord {
         self.avg_cs_coh + self.avg_cs_cse
     }
 
-    /// Fraction of LCO in total runtime (Figure 2's metric).
+    /// CS expedition of this cell over `base` (Figures 11 and 14):
+    /// how many times faster a critical section is entered and left.
+    pub fn cs_expedition(&self, base: &CellRecord) -> f64 {
+        base.cs_access_time() / self.cs_access_time()
+    }
+
+    /// ROI finish time relative to `base` (Figure 12; one minus it is
+    /// the ROI reduction of Figures 13 and 15).
+    pub fn relative_roi(&self, base: &CellRecord) -> f64 {
+        self.roi_cycles as f64 / base.roi_cycles as f64
+    }
+
+    /// Fraction of LCO in total runtime (Figure 2's metric): lock
+    /// coherence occupancy averaged over threads, relative to ROI time.
     pub fn lco_share(&self) -> f64 {
         if self.roi_cycles == 0 || self.threads == 0 {
             return 0.0;

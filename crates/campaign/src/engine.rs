@@ -64,30 +64,6 @@ impl ExecOptions {
             cell_jsonl: false,
         }
     }
-
-    /// Defaults for the fig binaries: all cores (`INPG_WORKERS`
-    /// overrides), resuming from `results/cache` (`INPG_CACHE=0`
-    /// disables, `INPG_CACHE=<dir>` relocates), progress on stderr.
-    pub fn for_figures() -> Self {
-        let cache = match std::env::var("INPG_CACHE") {
-            Err(_) => Some(PathBuf::from("results/cache")),
-            Ok(v) if v == "0" => None,
-            Ok(v) => Some(PathBuf::from(v)),
-        };
-        ExecOptions {
-            workers: std::env::var("INPG_WORKERS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&n: &usize| n > 0)
-                .unwrap_or_else(default_workers),
-            resume: true,
-            cache,
-            merged_out: None,
-            filter: None,
-            progress: true,
-            cell_jsonl: false,
-        }
-    }
 }
 
 /// The host's available parallelism (1 if unknown).
@@ -150,19 +126,6 @@ impl CampaignReport {
     /// Looks up an outcome by cell label.
     pub fn outcome(&self, label: &str) -> Option<&CellOutcome> {
         self.outcomes.iter().find(|o| o.spec.label == label)
-    }
-
-    /// The record for `label`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the label is not in the report — a campaign
-    /// definition bug, not a runtime condition.
-    pub fn record(&self, label: &str) -> &CellRecord {
-        &self
-            .outcome(label)
-            .unwrap_or_else(|| panic!("no cell labelled `{label}` in campaign `{}`", self.name))
-            .record
     }
 
     /// Total simulated cycles over all cells (cached ones included).

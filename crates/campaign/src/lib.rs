@@ -13,6 +13,7 @@
 //!
 //! * [`cell`] — cell configs, records, content hashing.
 //! * [`suites`] — the named cell sets (one per paper figure + smoke).
+//! * [`report`] — every figure's text, rendered from a merged artifact.
 //! * [`cache`] — the on-disk content-addressed result cache.
 //! * [`pool`] — the thread pool: an atomic cursor over cell indices.
 //! * [`exec`] — the cell pipeline shared by engine and daemon: cache
@@ -46,6 +47,7 @@ pub mod journal;
 pub mod json;
 pub mod pool;
 pub mod protocol;
+pub mod report;
 pub mod serve;
 pub mod submit;
 pub mod suites;

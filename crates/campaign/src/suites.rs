@@ -1,14 +1,10 @@
 //! The named cell sets of the evaluation: one builder per figure plus
 //! the CI smoke set and the `all` union.
 //!
-//! Both the `inpg campaign` subcommand and the `fig*` binaries build
-//! their cells here, so a figure regenerated standalone and the same
-//! figure regenerated inside a campaign hash to the same cache entries
-//! and share results. Labels are the formatting keys the binaries use
-//! to pull records back out of a [`CampaignReport`]; they must stay in
-//! sync with the builders below.
-//!
-//! [`CampaignReport`]: crate::engine::CampaignReport
+//! `inpg campaign` and `inpg submit` build their cells here. Labels
+//! are the keys [`report`](crate::report) uses to pull records back
+//! out of a merged artifact; they must stay in sync with the builders
+//! below.
 
 use crate::adaptive::{AdaptiveCampaign, HeadlineMetric};
 use crate::cell::{Campaign, CellConfig};
@@ -40,8 +36,7 @@ pub const ABLATION_SUBJECTS: [&str; 3] = ["kdtree", "fluid", "dedup"];
 #[derive(Debug, Clone, Copy)]
 pub struct SuiteInfo {
     pub name: &'static str,
-    /// Scale used when the caller does not override it (matches the
-    /// standalone fig binary's default).
+    /// Scale used when the caller does not override it.
     pub default_scale: f64,
     /// Whether the suite averages over workload seeds.
     pub uses_seeds: bool,
@@ -91,6 +86,11 @@ pub fn build(name: &str, scale: Option<f64>, seeds: &[u64]) -> Option<Campaign> 
         "all" => all(seeds),
         _ => unreachable!("suite_info and build agree on names"),
     })
+}
+
+/// The first `count` workload seeds of the seed-averaging suites.
+pub fn seeds(count: u64) -> Vec<u64> {
+    (0..count).map(|i| 0x1a9e_4711 + i * 0x9e37).collect()
 }
 
 /// Label for a seed-averaged cell component.
@@ -175,8 +175,9 @@ fn qsl_bench(name: &str, mechanism: Mechanism, scale: f64) -> CellConfig {
     c
 }
 
-/// Group-3 (high CS time) benchmarks — the sensitivity-study subjects.
-fn high_group() -> Vec<&'static str> {
+/// Group-3 (high CS time) benchmarks — the sensitivity-study subjects
+/// of Figures 14 and 15, where competition dominates.
+pub fn high_group() -> Vec<&'static str> {
     BENCHMARKS
         .iter()
         .filter(|b| group_of(b) == CsGroup::High)

@@ -1,8 +1,9 @@
 //! Criterion benchmarks of the simulator substrates and of one scaled
 //! exemplar per evaluation workload class. These measure *simulator*
 //! performance (wall-clock per simulated workload) and keep every
-//! figure's code path exercised under `cargo bench`; the figure
-//! *contents* are regenerated by the `fig*` binaries (see README).
+//! figure's code path exercised under `cargo bench -p inpg`; the figure
+//! *contents* are rendered by `inpg report` from the merged campaign
+//! artifacts (see README).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use inpg::manycore::{LockPlacement, System, SystemConfig};

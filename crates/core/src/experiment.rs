@@ -502,15 +502,6 @@ impl ExperimentResult {
         self.avg_cs_coh + self.avg_cs_cse
     }
 
-    /// Fraction of LCO in total runtime (Figure 2's metric): lock
-    /// coherence occupancy averaged over threads, relative to ROI time.
-    pub fn lco_share(&self) -> f64 {
-        if self.roi_cycles == 0 || self.per_thread.is_empty() {
-            return 0.0;
-        }
-        self.lco_cycles as f64 / (self.roi_cycles as f64 * self.per_thread.len() as f64)
-    }
-
     /// Phase shares over the whole run `(parallel, coh, cse)`.
     pub fn phase_shares(&self) -> (f64, f64, f64) {
         let total = (self.total_parallel + self.total_coh + self.total_cse) as f64;
@@ -524,15 +515,9 @@ impl ExperimentResult {
         )
     }
 
-    /// Critical sections completed in the first `window` cycles
-    /// (Figure 9's "critical sections completed during the reported
-    /// 30 000 CPU cycles"), over the first `threads` threads.
-    pub fn cs_completed_within(&self, window: u64, threads: usize) -> usize {
-        self.cs_completed_between(0, window, threads)
-    }
-
     /// Critical sections completed in `[from, to)` over the first
-    /// `threads` threads.
+    /// `threads` threads (Figure 9's "critical sections completed
+    /// during the reported 30 000 CPU cycles").
     pub fn cs_completed_between(&self, from: u64, to: u64, threads: usize) -> usize {
         self.per_thread
             .iter()

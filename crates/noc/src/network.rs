@@ -193,13 +193,19 @@ impl<P: PacketGenPayload> Network<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the vnet index or either core id is out of range, or the
-    /// flit count is zero.
+    /// Panics if the vnet index or either core id is out of range, if the
+    /// flit count is zero, or if a [`Sink::Router`] packet is addressed
+    /// to a router without a packet generator (nothing there would ever
+    /// consume it, so the network could never drain).
     pub fn send(&mut self, now: Cycle, msg: Message<P>) -> PacketId {
         assert!(msg.flits > 0, "packets must have at least one flit");
         assert!((msg.vnet.index()) < self.cfg.vnets as usize, "vnet out of range");
         assert!(msg.src.index() < self.cfg.nodes(), "src out of range");
         assert!(msg.dst.index() < self.cfg.nodes(), "dst out of range");
+        assert!(
+            msg.sink != Sink::Router || self.routers[msg.dst.index()].is_big(),
+            "router-sink packet addressed to a router without a packet generator"
+        );
         let id = PacketId::new(self.next_packet_id);
         self.next_packet_id += 1;
         let packet = Packet {

@@ -211,6 +211,31 @@ fn no_big_routers_means_no_interception() {
 }
 
 #[test]
+#[should_panic(expected = "without a packet generator")]
+fn a_router_sink_packet_to_a_normal_router_is_rejected() {
+    // No big routers at all: an early ack addressed to any router would
+    // sit at the head of its VC forever, so `send` must refuse it.
+    let mut network = Network::new(NocConfig::baseline()).unwrap();
+    network.send(
+        Cycle::ZERO,
+        Message {
+            src: CoreId::new(0),
+            dst: CoreId::new(9),
+            sink: Sink::Router,
+            vnet: VirtualNetwork::RESPONSE,
+            flits: 1,
+            priority: 0,
+            payload: TestMsg::EarlyInvAck {
+                addr: Addr::new(0x2000),
+                from: CoreId::new(0),
+                home: CoreId::new(7),
+                inv_sent_at: Cycle::ZERO,
+            },
+        },
+    );
+}
+
+#[test]
 fn getx_ejecting_at_home_router_is_not_stopped() {
     // A big router at the home node must not intercept requests that are
     // about to eject there; arbitration happens at the home node itself.

@@ -1,5 +1,5 @@
-//! Plain-text table rendering for the benchmark harness: every `fig*`
-//! binary prints its figure/table as an aligned text table.
+//! Plain-text table rendering: `inpg report` prints every figure and
+//! table as an aligned text table.
 
 use std::fmt;
 

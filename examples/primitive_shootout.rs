@@ -6,14 +6,14 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p inpg --example primitive_shootout
+//! cargo run --release -p inpg --example primitive_shootout [-- SCALE]
 //! ```
 
 use inpg::stats::{pct, Table};
 use inpg::{Experiment, LockPrimitive, Mechanism};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = std::env::var("INPG_SCALE").map_or(0.1, |s| s.parse().unwrap_or(0.1));
+    let scale = std::env::args().nth(1).map_or(0.1, |s| s.parse().unwrap_or(0.1));
     println!("fluidanimate model, 8x8 mesh, scale {scale}\n");
 
     let mut table = Table::new(vec![

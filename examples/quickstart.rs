@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p inpg --example quickstart
+//! cargo run --release -p inpg --example quickstart [-- SCALE]
 //! ```
 
 use inpg::stats::{pct, speedup, Table};
@@ -14,7 +14,7 @@ use inpg::{Experiment, Mechanism};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Scale keeps the demo under a minute; raise it (up to 1.0, the
     // paper's Figure-8 CS counts) for a full-length run.
-    let scale = std::env::var("INPG_SCALE").map_or(0.1, |s| s.parse().unwrap_or(0.1));
+    let scale = std::env::args().nth(1).map_or(0.1, |s| s.parse().unwrap_or(0.1));
 
     println!("freqmine model, 8x8 mesh, QSL locks, scale {scale}\n");
 

@@ -4,14 +4,14 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p inpg --example scaling_study
+//! cargo run --release -p inpg --example scaling_study [-- SCALE]
 //! ```
 
 use inpg::stats::{pct, Table};
 use inpg::{Experiment, Mechanism};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = std::env::var("INPG_SCALE").map_or(0.1, |s| s.parse().unwrap_or(0.1));
+    let scale = std::env::args().nth(1).map_or(0.1, |s| s.parse().unwrap_or(0.1));
     println!("kdtree model (one hot lock), QSL, scale {scale}\n");
 
     let mut table = Table::new(vec![

@@ -86,11 +86,12 @@
 //! ```
 
 use inpg::stats::{pct, speedup, Table};
-use inpg::{Experiment, ExperimentResult, FaultKind, FaultPlan, LockPrimitive, Mechanism, SimError};
+use inpg::{FaultKind, LockPrimitive, Mechanism, SimError};
+use inpg_campaign::exec::{self, Ran};
 use inpg_campaign::{
     bench_out, engine, report, run_adaptive, serve, submit, suites, AddrSource, AdaptiveOptions,
-    CellRecord, EngineRunner, ExecOptions, ReplicaRunner, ServeOptions, ServiceRunner,
-    SubmitOptions,
+    Campaign, CampaignError, CellConfig, CellRecord, EngineRunner, ExecOptions, ReplicaRunner,
+    ServeOptions, ServiceRunner, SubmitOptions,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -105,58 +106,15 @@ enum CliError {
     /// The simulation itself failed: bad configuration, watchdog stall,
     /// or invariant violation.
     Sim(SimError),
-    /// A run hit the cycle bound without completing.
-    Incomplete(String),
+    /// A run did not finish: it hit the cycle bound or panicked.
+    Run(String),
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(msg) | CliError::Incomplete(msg) => f.write_str(msg),
+            CliError::Usage(msg) | CliError::Run(msg) => f.write_str(msg),
             CliError::Sim(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl From<SimError> for CliError {
-    fn from(e: SimError) -> Self {
-        CliError::Sim(e)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Options {
-    mechanism: Mechanism,
-    primitive: LockPrimitive,
-    mesh: (u8, u8),
-    scale: f64,
-    big_routers: Option<usize>,
-    barrier_entries: usize,
-    seed: Option<u64>,
-    watchdog_cycles: Option<u64>,
-    check_invariants: Option<u64>,
-    faults: FaultPlan,
-    recover: bool,
-    recovery_retry_budget: Option<u32>,
-    recovery_timeout: Option<u64>,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            mechanism: Mechanism::Original,
-            primitive: LockPrimitive::Qsl,
-            mesh: (8, 8),
-            scale: 0.1,
-            big_routers: None,
-            barrier_entries: 16,
-            seed: None,
-            watchdog_cycles: None,
-            check_invariants: None,
-            faults: FaultPlan::none(),
-            recover: false,
-            recovery_retry_budget: None,
-            recovery_timeout: None,
         }
     }
 }
@@ -169,99 +127,63 @@ fn parse_mesh(s: &str) -> Result<(u8, u8), String> {
     ))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut options = Options::default();
+/// The cell `inpg run`, `compare` and `sweep-primitives` simulate:
+/// `benchmark` at the CLI's default scale of 0.1, with `args` applied.
+fn parse_options(benchmark: &str, args: &[String]) -> Result<CellConfig, String> {
+    let mut config = CellConfig::benchmark(benchmark);
+    config.scale = 0.1;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next().cloned().ok_or_else(|| format!("missing value for {flag}"))
         };
         match flag.as_str() {
-            "--mechanism" => options.mechanism = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--primitive" => options.primitive = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--mesh" => options.mesh = parse_mesh(&value()?)?,
-            "--scale" => {
-                options.scale = value()?.parse().map_err(|_| "bad --scale".to_string())?
-            }
+            "--mechanism" => config.mechanism = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--primitive" => config.primitive = value()?.parse().map_err(|e| format!("{e}"))?,
+            "--mesh" => (config.width, config.height) = parse_mesh(&value()?)?,
+            "--scale" => config.scale = value()?.parse().map_err(|_| "bad --scale".to_string())?,
             "--big-routers" => {
-                options.big_routers =
+                config.big_routers =
                     Some(value()?.parse().map_err(|_| "bad --big-routers".to_string())?)
             }
             "--barrier-entries" => {
-                options.barrier_entries =
+                config.barrier_entries =
                     value()?.parse().map_err(|_| "bad --barrier-entries".to_string())?
             }
-            "--seed" => {
-                options.seed = Some(value()?.parse().map_err(|_| "bad --seed".to_string())?)
-            }
+            "--seed" => config.seed = value()?.parse().map_err(|_| "bad --seed".to_string())?,
             "--watchdog-cycles" => {
-                options.watchdog_cycles =
+                config.watchdog_cycles =
                     Some(value()?.parse().map_err(|_| "bad --watchdog-cycles".to_string())?)
             }
             "--check-invariants" => {
-                options.check_invariants =
+                config.check_invariants =
                     Some(value()?.parse().map_err(|_| "bad --check-invariants".to_string())?)
             }
             "--fault" => {
                 let kind = FaultKind::parse(&value()?).map_err(|e| format!("bad --fault: {e}"))?;
-                options.faults = options.faults.clone().with(kind);
+                config.faults.faults.push(kind);
             }
             "--fault-seed" => {
-                let seed = value()?.parse().map_err(|_| "bad --fault-seed".to_string())?;
-                options.faults = options.faults.clone().seeded(seed);
+                config.faults.seed = value()?.parse().map_err(|_| "bad --fault-seed".to_string())?
             }
-            "--recover" => options.recover = true,
+            "--recover" => config.recover = true,
             "--retry-budget" => {
-                options.recovery_retry_budget =
+                config.recovery_retry_budget =
                     Some(value()?.parse().map_err(|_| "bad --retry-budget".to_string())?)
             }
             "--recovery-timeout" => {
-                options.recovery_timeout =
+                config.recovery_timeout =
                     Some(value()?.parse().map_err(|_| "bad --recovery-timeout".to_string())?)
             }
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    Ok(options)
+    Ok(config)
 }
 
-fn build(benchmark: &str, options: &Options) -> Experiment {
-    let mut e = Experiment::benchmark(benchmark)
-        .mechanism(options.mechanism)
-        .primitive(options.primitive)
-        .mesh(options.mesh.0, options.mesh.1)
-        .barrier_entries(options.barrier_entries)
-        .scale(options.scale);
-    if let Some(count) = options.big_routers {
-        e = e.big_routers(count);
-    }
-    if let Some(seed) = options.seed {
-        e = e.seed(seed);
-    }
-    if let Some(window) = options.watchdog_cycles {
-        e = e.watchdog_cycles(window);
-    }
-    if let Some(interval) = options.check_invariants {
-        e = e.check_invariants(interval);
-    }
-    if !options.faults.is_empty() {
-        e = e.faults(options.faults.clone());
-    }
-    if options.recover {
-        e = e.recover(true);
-    }
-    if let Some(budget) = options.recovery_retry_budget {
-        e = e.recovery_retry_budget(budget);
-    }
-    if let Some(cycles) = options.recovery_timeout {
-        e = e.recovery_timeout(cycles);
-    }
-    e
-}
-
-fn summarize(r: &ExperimentResult) {
+fn summarize(config: &CellConfig, r: &CellRecord) {
     let (p, c, s) = r.phase_shares();
-    println!("workload:        {} ({} / {})", r.name, r.mechanism, r.primitive);
+    println!("workload:        {} ({} / {})", config.workload.name(), config.mechanism, config.primitive);
     println!("ROI finish time: {} cycles ({} critical sections)", r.roi_cycles, r.cs_count);
     println!(
         "phases:          {} parallel, {} COH, {} CSE",
@@ -277,10 +199,10 @@ fn summarize(r: &ExperimentResult) {
         "Inv-Ack:         mean {:.1}, max {} cycles over {} round trips",
         r.invack.mean, r.invack.max, r.invack.count
     );
-    if r.barrier.requests_stopped > 0 {
+    if r.requests_stopped > 0 {
         println!(
             "iNPG:            {} requests stopped, {} acks relayed, {} home invalidations saved",
-            r.barrier.requests_stopped, r.barrier.acks_relayed, r.home_invs_saved
+            r.requests_stopped, r.acks_relayed, r.home_invs_saved
         );
     }
 }
@@ -300,18 +222,42 @@ fn cmd_list() {
     println!("{table}");
 }
 
-fn cmd_run(benchmark: &str, options: &Options) -> Result<(), CliError> {
-    let result = build(benchmark, options).run()?;
-    if !result.completed {
-        return Err(CliError::Incomplete(
-            "run hit the cycle bound before completing".into(),
-        ));
+fn cmd_run(config: &CellConfig) -> Result<(), CliError> {
+    let record = match exec::run_cell(None, config, None, "inpg run", "run") {
+        Ran::Done { record, .. } => record,
+        Ran::Failed(e) => return Err(CliError::Sim(e)),
+        Ran::Panicked(reason) => return Err(CliError::Run(format!("run panicked: {reason}"))),
+    };
+    if !record.completed {
+        return Err(CliError::Run("run hit the cycle bound before completing".into()));
     }
-    summarize(&result);
+    summarize(config, &record);
     Ok(())
 }
 
-fn cmd_compare(benchmark: &str, options: &Options) -> Result<(), CliError> {
+/// Runs `campaign` in process, without the cache, and returns its
+/// records in cell order. A cell that fails or panics fails the whole
+/// command, as does one that hits its cycle bound (named by `label`).
+fn run_cells(campaign: &Campaign) -> Result<Vec<CellRecord>, CliError> {
+    let report = engine::execute(campaign, &ExecOptions::quiet()).map_err(|e| match e {
+        CampaignError::Cell { error, .. } => CliError::Sim(error),
+        CampaignError::Io(e) => CliError::Run(format!("i/o: {e}")),
+    })?;
+    if let Some(cell) = report.failed.first() {
+        return Err(CliError::Run(format!("`{}` panicked: {}", cell.label, cell.reason)));
+    }
+    if let Some(label) = report.incomplete().first() {
+        return Err(CliError::Run(format!("{label} hit the cycle bound")));
+    }
+    Ok(report.outcomes.into_iter().map(|o| o.record).collect())
+}
+
+fn cmd_compare(config: &CellConfig) -> Result<(), CliError> {
+    let mut campaign = Campaign::new("compare");
+    for mechanism in Mechanism::ALL {
+        campaign.push(mechanism.to_string(), CellConfig { mechanism, ..config.clone() });
+    }
+    let records = run_cells(&campaign)?;
     let mut table = Table::new(vec![
         "mechanism",
         "ROI cycles",
@@ -319,17 +265,12 @@ fn cmd_compare(benchmark: &str, options: &Options) -> Result<(), CliError> {
         "CS expedition",
         "Inv-Ack mean",
     ]);
-    let mut base: Option<CellRecord> = None;
-    for mechanism in Mechanism::ALL {
-        let mut options = options.clone();
-        options.mechanism = mechanism;
-        let r = CellRecord::from_result(&build(benchmark, &options).run()?);
-        if !r.completed {
-            return Err(CliError::Incomplete(format!("{mechanism} hit the cycle bound")));
-        }
-        let (rel, exp) = match &base {
-            None => (1.0, 1.0),
-            Some(b) => (r.relative_roi(b), r.cs_expedition(b)),
+    let base = &records[0];
+    for (i, (mechanism, r)) in Mechanism::ALL.into_iter().zip(&records).enumerate() {
+        let (rel, exp) = if i == 0 {
+            (1.0, 1.0)
+        } else {
+            (r.relative_roi(base), r.cs_expedition(base))
         };
         table.add_row(vec![
             mechanism.to_string(),
@@ -338,32 +279,29 @@ fn cmd_compare(benchmark: &str, options: &Options) -> Result<(), CliError> {
             speedup(exp),
             format!("{:.1}", r.invack.mean),
         ]);
-        if base.is_none() {
-            base = Some(r);
-        }
     }
     println!("{table}");
     Ok(())
 }
 
-fn cmd_sweep_primitives(benchmark: &str, options: &Options) -> Result<(), CliError> {
+fn cmd_sweep_primitives(config: &CellConfig) -> Result<(), CliError> {
+    let mut campaign = Campaign::new("sweep-primitives");
+    for primitive in LockPrimitive::ALL {
+        for mechanism in [Mechanism::Original, Mechanism::Inpg] {
+            let cell = CellConfig { primitive, mechanism, ..config.clone() };
+            campaign.push(format!("{primitive}/{mechanism}"), cell);
+        }
+    }
+    let records = run_cells(&campaign)?;
     let mut table =
         Table::new(vec!["primitive", "Original ROI", "iNPG ROI", "iNPG reduction"]);
-    for primitive in LockPrimitive::ALL {
-        let mut opts = options.clone();
-        opts.primitive = primitive;
-        opts.mechanism = Mechanism::Original;
-        let base = CellRecord::from_result(&build(benchmark, &opts).run()?);
-        opts.mechanism = Mechanism::Inpg;
-        let inpg = CellRecord::from_result(&build(benchmark, &opts).run()?);
-        if !base.completed || !inpg.completed {
-            return Err(CliError::Incomplete(format!("{primitive} hit the cycle bound")));
-        }
+    for (primitive, pair) in LockPrimitive::ALL.into_iter().zip(records.chunks(2)) {
+        let (base, inpg) = (&pair[0], &pair[1]);
         table.add_row(vec![
             primitive.to_string(),
             base.roi_cycles.to_string(),
             inpg.roi_cycles.to_string(),
-            pct(1.0 - inpg.relative_roi(&base)),
+            pct(1.0 - inpg.relative_roi(base)),
         ]);
     }
     println!("{table}");
@@ -645,7 +583,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
         for cell in &report.failed {
             eprintln!("failed cell `{}`: {}", cell.label, cell.reason);
         }
-        return Err(CliError::Incomplete(format!(
+        return Err(CliError::Run(format!(
             "{} cells failed (excluded from the merged artifact): {}",
             report.failed.len(),
             report.failed.iter().map(|c| c.label.as_str()).collect::<Vec<_>>().join(", ")
@@ -653,7 +591,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
     }
     let incomplete = report.incomplete();
     if !incomplete.is_empty() {
-        return Err(CliError::Incomplete(format!(
+        return Err(CliError::Run(format!(
             "{} cells hit the cycle bound: {}",
             incomplete.len(),
             incomplete.join(", ")
@@ -929,12 +867,12 @@ fn main() -> ExitCode {
                     "unknown benchmark `{benchmark}` (see `inpg list`)"
                 )));
             }
-            match parse_options(rest) {
+            match parse_options(&benchmark, rest) {
                 Err(e) => return err_exit(&CliError::Usage(e)),
-                Ok(options) => match cmd.as_str() {
-                    "run" => cmd_run(&benchmark, &options),
-                    "compare" => cmd_compare(&benchmark, &options),
-                    "sweep-primitives" => cmd_sweep_primitives(&benchmark, &options),
+                Ok(config) => match cmd.as_str() {
+                    "run" => cmd_run(&config),
+                    "compare" => cmd_compare(&config),
+                    "sweep-primitives" => cmd_sweep_primitives(&config),
                     other => {
                         Err(CliError::Usage(format!("unknown command `{other}`\n{}", usage())))
                     }

@@ -1,12 +1,13 @@
 //! Experiment cells: the unit of campaign work.
 //!
 //! A [`CellConfig`] is the *complete* configuration of one simulation
-//! point — workload, mechanism, primitive, mesh, deployment, table
-//! size, retry budget, scale, seed, cycle bound. It has one canonical
-//! JSON encoding (fixed field order, shortest-roundtrip numbers) and a
-//! stable 64-bit FNV-1a content hash over that encoding, which keys the
-//! on-disk result cache. Equal configs hash equal; any field change
-//! changes the hash.
+//! run — workload, mechanism, primitive, mesh, deployment, table size,
+//! retry budget, scale, seed, cycle bound, and the run checks (watchdog,
+//! invariant sweep, fault plan, recovery) of a robustness run. It has
+//! one canonical JSON encoding (fixed field order, shortest-roundtrip
+//! numbers) and a stable 64-bit FNV-1a content hash over that encoding,
+//! which keys the on-disk result cache. Equal configs hash equal; any
+//! field change changes the hash.
 //!
 //! A [`CellRecord`] is the deterministic result of running a cell: all
 //! simulated metrics, no wall-clock anything. Because the simulator is
@@ -14,7 +15,9 @@
 //! config — exactly what makes content-addressed caching sound.
 
 use crate::json::{self, Json};
-use inpg::{Experiment, ExperimentResult, LockPrimitive, Mechanism, ThreadProgram};
+use inpg::{
+    Experiment, ExperimentResult, FaultKind, FaultPlan, LockPrimitive, Mechanism, ThreadProgram,
+};
 use inpg_sim::{CoreId, LockId};
 use std::fmt;
 
@@ -33,8 +36,19 @@ pub enum CellWorkload {
     HotLock { rounds: u64, compute: u64, cs_cycles: u64 },
 }
 
-/// Full configuration of one experiment cell. Field defaults mirror
-/// [`Experiment`]'s.
+impl CellWorkload {
+    /// The workload's name: the benchmark's, or `hot-lock`.
+    pub fn name(&self) -> &str {
+        match self {
+            CellWorkload::Benchmark { name } => name,
+            CellWorkload::HotLock { .. } => "hot-lock",
+        }
+    }
+}
+
+/// Full configuration of one experiment cell: the one description of a
+/// run, whether it comes from a suite, `inpg run` or a daemon's wire.
+/// Field defaults mirror [`Experiment`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     pub workload: CellWorkload,
@@ -54,6 +68,20 @@ pub struct CellConfig {
     /// large to serialize and is consumed in-process (Figure 9).
     pub record_timeline: bool,
     pub max_cycles: u64,
+    /// Run checks: a cell that sets any of the six fields below is never
+    /// cached. Abort after this many cycles without forward progress.
+    pub watchdog_cycles: Option<u64>,
+    /// Sweep the protocol invariants every this many cycles.
+    pub check_invariants: Option<u64>,
+    /// Faults injected into the NoC, and the jitter seed.
+    pub faults: FaultPlan,
+    /// Arm timeout-based retransmission so injected faults are survived.
+    pub recover: bool,
+    /// Base retransmission timeout in cycles (`None` = system default).
+    pub recovery_timeout: Option<u64>,
+    /// Recovery retransmissions per transaction (`None` = system
+    /// default); distinct from the QSL [`retry_budget`](Self::retry_budget).
+    pub recovery_retry_budget: Option<u32>,
 }
 
 impl CellConfig {
@@ -89,16 +117,39 @@ impl CellConfig {
             lock_home: None,
             record_timeline: false,
             max_cycles: 400_000_000,
+            watchdog_cycles: None,
+            check_invariants: None,
+            faults: FaultPlan::none(),
+            recover: false,
+            recovery_timeout: None,
+            recovery_retry_budget: None,
         }
     }
 
-    /// Whether the cell's result may be cached on disk. Timeline cells
-    /// carry their (huge, in-process) timeline and must run fresh.
-    pub fn cacheable(&self) -> bool {
-        !self.record_timeline
+    /// Whether any of the six run-check fields (watchdog, invariant
+    /// sweep, faults, recovery and its two knobs) differs from its
+    /// default.
+    fn has_run_checks(&self) -> bool {
+        self.watchdog_cycles.is_some()
+            || self.check_invariants.is_some()
+            || self.faults != FaultPlan::none()
+            || self.recover
+            || self.recovery_timeout.is_some()
+            || self.recovery_retry_budget.is_some()
     }
 
-    /// Canonical JSON encoding: fixed field order, every field present.
+    /// Whether the cell's result may be cached on disk. Timeline cells
+    /// carry their (huge, in-process) timeline and must run fresh; a
+    /// run-check cell asks how the simulator copes, and runs fresh too.
+    pub fn cacheable(&self) -> bool {
+        !self.record_timeline && !self.has_run_checks()
+    }
+
+    /// Canonical JSON encoding: fixed field order, every field present,
+    /// except that the six run-check fields are written only when one of
+    /// them is set — so every cacheable cell keeps the bytes, and the
+    /// hash, it had before they existed. Faults are `FaultKind`'s
+    /// `kind:value` strings.
     pub fn to_json(&self) -> Json {
         let workload = match &self.workload {
             CellWorkload::Benchmark { name } => Json::obj(vec![
@@ -112,7 +163,7 @@ impl CellConfig {
                 ("cs_cycles", Json::UInt(*cs_cycles)),
             ]),
         };
-        Json::obj(vec![
+        let mut fields = vec![
             ("schema", Json::UInt(SCHEMA_VERSION)),
             ("workload", workload),
             ("mechanism", Json::Str(mechanism_name(self.mechanism).into())),
@@ -133,10 +184,30 @@ impl CellConfig {
             ),
             ("record_timeline", Json::Bool(self.record_timeline)),
             ("max_cycles", Json::UInt(self.max_cycles)),
-        ])
+        ];
+        if self.has_run_checks() {
+            let opt = |v: Option<u64>| v.map_or(Json::Null, Json::UInt);
+            let kinds = self.faults.faults.iter().map(|f| Json::Str(f.to_string())).collect();
+            fields.extend([
+                ("watchdog_cycles", opt(self.watchdog_cycles)),
+                ("check_invariants", opt(self.check_invariants)),
+                (
+                    "faults",
+                    Json::obj(vec![
+                        ("seed", Json::UInt(self.faults.seed)),
+                        ("kinds", Json::Arr(kinds)),
+                    ]),
+                ),
+                ("recover", Json::Bool(self.recover)),
+                ("recovery_timeout", opt(self.recovery_timeout)),
+                ("recovery_retry_budget", opt(self.recovery_retry_budget.map(u64::from))),
+            ]);
+        }
+        Json::obj(fields)
     }
 
-    /// Parses a canonical encoding back into a config.
+    /// Parses a canonical encoding back into a config. An absent
+    /// run-check field takes its default; a malformed one is an error.
     pub fn from_json(v: &Json) -> Result<Self, SchemaError> {
         let schema = req_u64(v, "schema")?;
         if schema != SCHEMA_VERSION {
@@ -178,6 +249,21 @@ impl CellConfig {
                 .and_then(Json::as_bool)
                 .ok_or_else(|| SchemaError("no record_timeline".into()))?,
             max_cycles: req_u64(v, "max_cycles")?,
+            watchdog_cycles: opt_u64(v, "watchdog_cycles")?,
+            check_invariants: opt_u64(v, "check_invariants")?,
+            faults: match v.get("faults") {
+                None => FaultPlan::none(),
+                Some(plan) => fault_plan_from_json(plan)?,
+            },
+            recover: match v.get("recover") {
+                None => false,
+                Some(j) => j.as_bool().ok_or_else(|| SchemaError("non-boolean `recover`".into()))?,
+            },
+            recovery_timeout: opt_u64(v, "recovery_timeout")?,
+            recovery_retry_budget: opt_u64(v, "recovery_retry_budget")?
+                .map(u32::try_from)
+                .transpose()
+                .map_err(|_| SchemaError("recovery_retry_budget out of range".into()))?,
         })
     }
 
@@ -207,7 +293,7 @@ impl CellConfig {
                         )
                     })
                     .collect();
-                Experiment::custom("hot-lock", programs, 1)
+                Experiment::custom(self.workload.name(), programs, 1)
             }
         };
         e = e
@@ -218,12 +304,26 @@ impl CellConfig {
             .retry_budget(self.retry_budget)
             .seed(self.seed)
             .record_timeline(self.record_timeline)
-            .max_cycles(self.max_cycles);
+            .max_cycles(self.max_cycles)
+            .faults(self.faults.clone())
+            .recover(self.recover);
         if let Some(count) = self.big_routers {
             e = e.big_routers(count);
         }
         if let Some(core) = self.lock_home {
             e = e.lock_home(CoreId::new(core));
+        }
+        if let Some(cycles) = self.watchdog_cycles {
+            e = e.watchdog_cycles(cycles);
+        }
+        if let Some(interval) = self.check_invariants {
+            e = e.check_invariants(interval);
+        }
+        if let Some(cycles) = self.recovery_timeout {
+            e = e.recovery_timeout(cycles);
+        }
+        if let Some(budget) = self.recovery_retry_budget {
+            e = e.recovery_retry_budget(budget);
         }
         e
     }
@@ -429,6 +529,19 @@ impl CellRecord {
         self.roi_cycles as f64 / base.roi_cycles as f64
     }
 
+    /// Phase shares over the whole run `(parallel, coh, cse)`.
+    pub fn phase_shares(&self) -> (f64, f64, f64) {
+        let total = (self.total_parallel + self.total_coh + self.total_cse) as f64;
+        if total == 0.0 {
+            return (0.0, 0.0, 0.0);
+        }
+        (
+            self.total_parallel as f64 / total,
+            self.total_coh as f64 / total,
+            self.total_cse as f64 / total,
+        )
+    }
+
     /// Fraction of LCO in total runtime (Figure 2's metric): lock
     /// coherence occupancy averaged over threads, relative to ROI time.
     pub fn lco_share(&self) -> f64 {
@@ -549,6 +662,22 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The `faults` field: `{"seed": N, "kinds": ["kind:value", ...]}`.
+fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, SchemaError> {
+    let kinds = v
+        .get("kinds")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| SchemaError("missing or non-array `faults.kinds`".into()))?;
+    let mut plan = FaultPlan::none().seeded(req_u64(v, "seed")?);
+    for kind in kinds {
+        let spec = kind
+            .as_str()
+            .ok_or_else(|| SchemaError("non-string fault in `faults.kinds`".into()))?;
+        plan = plan.with(FaultKind::parse(spec).map_err(SchemaError)?);
+    }
+    Ok(plan)
+}
+
 fn req_u64(v: &Json, key: &str) -> Result<u64, SchemaError> {
     v.get(key)
         .and_then(Json::as_u64)
@@ -625,6 +754,8 @@ mod tests {
             CellConfig { barrier_entries: 4, ..base.clone() },
             CellConfig { lock_home: Some(3), ..base.clone() },
             CellConfig { max_cycles: 1, ..base.clone() },
+            CellConfig { watchdog_cycles: Some(1), ..base.clone() },
+            CellConfig { recover: true, ..base.clone() },
         ];
         variants.push(CellConfig::benchmark("freq")); // workload defaults
         let mut hashes: Vec<String> =
@@ -658,6 +789,73 @@ mod tests {
         );
         assert!((record.cs_access_time() - (record.avg_cs_coh + record.avg_cs_cse)).abs() < 1e-12);
         assert!(record.lco_share() > 0.0);
+        let (p, c, s) = record.phase_shares();
+        assert!((p + c + s - 1.0).abs() < 1e-9);
+    }
+
+    fn checked_config() -> CellConfig {
+        let mut c = CellConfig::benchmark("kdtree");
+        c.primitive = LockPrimitive::Ticket;
+        c.scale = 0.1;
+        c.watchdog_cycles = Some(200_000);
+        c.check_invariants = Some(256);
+        c.faults = FaultPlan::none()
+            .with(FaultKind::DropAck { nth: 12 })
+            .with(FaultKind::DelayJitter { max_extra: 3 })
+            .seeded(7);
+        c.recover = true;
+        c.recovery_timeout = Some(4096);
+        c.recovery_retry_budget = Some(5);
+        c
+    }
+
+    #[test]
+    fn a_cell_with_every_run_check_set_roundtrips() {
+        let config = checked_config();
+        let encoded = config.canonical();
+        assert!(encoded.contains(r#""faults":{"seed":7,"kinds":["drop-ack:12","jitter:3"]}"#));
+        let back = CellConfig::from_json(&json::parse(&encoded).unwrap()).unwrap();
+        assert_eq!(back, config);
+        assert_eq!(back.canonical(), encoded);
+        assert_eq!(back.to_experiment().run().is_ok(), config.to_experiment().run().is_ok());
+    }
+
+    #[test]
+    fn any_one_run_check_makes_a_cell_uncacheable() {
+        let base = CellConfig::benchmark("freq");
+        assert!(base.cacheable());
+        let alone = [
+            CellConfig { watchdog_cycles: Some(1), ..base.clone() },
+            CellConfig { check_invariants: Some(1), ..base.clone() },
+            CellConfig { faults: FaultPlan::none().with(FaultKind::EiExhaust { capacity: 0 }), ..base.clone() },
+            CellConfig { faults: FaultPlan::none().seeded(7), ..base.clone() },
+            CellConfig { recover: true, ..base.clone() },
+            CellConfig { recovery_timeout: Some(1), ..base.clone() },
+            CellConfig { recovery_retry_budget: Some(1), ..base.clone() },
+        ];
+        for config in alone {
+            assert!(!config.cacheable(), "{}", config.canonical());
+            assert_ne!(config.content_hash(), base.content_hash());
+        }
+    }
+
+    #[test]
+    fn a_malformed_run_check_field_is_a_schema_error() {
+        let good = checked_config().canonical();
+        for (from, to) in [
+            ("drop-ack:12", "drop-ack:twelve"),
+            ("drop-ack:12", "meteor:1"),
+            (r#""recover":true"#, r#""recover":1"#),
+            (r#""seed":7,"kinds""#, r#""seed":-7,"kinds""#),
+            (r#""watchdog_cycles":200000"#, r#""watchdog_cycles":"x""#),
+            (r#""recovery_retry_budget":5"#, r#""recovery_retry_budget":5000000000"#),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(bad, good, "{from} must occur in the encoding");
+            let err = CellConfig::from_json(&json::parse(&bad).unwrap())
+                .expect_err("a malformed run check must not parse");
+            assert!(!err.0.is_empty(), "{bad}");
+        }
     }
 
     #[test]

@@ -52,6 +52,12 @@ use crate::cell::{CellConfig, CellRecord, SchemaError};
 use crate::json::{self, Json};
 
 /// A client-to-daemon request.
+///
+/// `Submit` carries its [`CellConfig`] inline although it dwarfs the
+/// other variants: a request is built, encoded and dropped one at a
+/// time, never stored in bulk, so boxing would only add an allocation
+/// per submit and change the variant's public shape.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness probe.

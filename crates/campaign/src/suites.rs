@@ -1,5 +1,5 @@
 //! The named cell sets of the evaluation: one builder per figure plus
-//! the CI smoke set and the `all` union.
+//! the CI smoke set, the fault matrix and the `all` union.
 //!
 //! `inpg campaign` and `inpg submit` build their cells here. Labels
 //! are the keys [`report`](crate::report) uses to pull records back
@@ -8,7 +8,7 @@
 
 use crate::adaptive::{AdaptiveCampaign, HeadlineMetric};
 use crate::cell::{Campaign, CellConfig};
-use inpg::{LockPrimitive, Mechanism};
+use inpg::{FaultKind, FaultPlan, LockPrimitive, Mechanism};
 use inpg_workloads::{group_of, CsGroup, BENCHMARKS};
 
 /// Tile (x=5, y=6) on the 8×8 mesh: the Figure-10 lock home.
@@ -31,6 +31,18 @@ pub const ABLATION_ENTRIES: [usize; 5] = [1, 2, 8, 16, 32];
 
 /// Ablation subjects (one per benchmark group).
 pub const ABLATION_SUBJECTS: [&str; 3] = ["kdtree", "fluid", "dedup"];
+
+/// The faults of the `faults` suite: each one is survived with recovery
+/// armed, gracefully (jitter, barrier-off, ttl-storm, ei-exhaust,
+/// router-fail) or by retransmission (drop-ack).
+pub const FAULT_MATRIX: [FaultKind; 6] = [
+    FaultKind::DelayJitter { max_extra: 12 },
+    FaultKind::BarrierOff { at_cycle: 2000 },
+    FaultKind::TtlStorm { at_cycle: 1500 },
+    FaultKind::EiExhaust { capacity: 0 },
+    FaultKind::DropAck { nth: 12 },
+    FaultKind::RouterFail { at_cycle: 1000 },
+];
 
 /// One suite the CLI can run by name.
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +68,7 @@ pub const SUITES: &[SuiteInfo] = &[
     SuiteInfo { name: "fig14", default_scale: 0.05, uses_seeds: false, about: "big-router deployment sweep" },
     SuiteInfo { name: "fig15", default_scale: 0.02, uses_seeds: false, about: "mesh x table-size sensitivity" },
     SuiteInfo { name: "ablation", default_scale: 0.1, uses_seeds: false, about: "retry budget / deployment / table knobs" },
+    SuiteInfo { name: "faults", default_scale: 0.1, uses_seeds: false, about: "fault matrix under recovery (uncacheable)" },
     SuiteInfo { name: "all", default_scale: 0.0, uses_seeds: true, about: "union of every figure suite (per-suite scales)" },
 ];
 
@@ -83,6 +96,7 @@ pub fn build(name: &str, scale: Option<f64>, seeds: &[u64]) -> Option<Campaign> 
         "fig14" => fig14(scale_for(0.05)),
         "fig15" => fig15(scale_for(0.02)),
         "ablation" => ablation(scale_for(0.1)),
+        "faults" => faults(scale_for(0.1)),
         "all" => all(seeds),
         _ => unreachable!("suite_info and build agree on names"),
     })
@@ -370,6 +384,25 @@ pub fn ablation(scale: f64) -> Campaign {
     c
 }
 
+/// The fault matrix: kdtree under ticket locks, one cell per
+/// [`FAULT_MATRIX`] fault (labelled in `--fault` syntax), each with the
+/// invariant sweep, the watchdog and recovery armed. Its cells are never
+/// cached: every run re-checks that the simulator survives the fault.
+pub fn faults(scale: f64) -> Campaign {
+    let mut c = Campaign::new("faults");
+    for fault in FAULT_MATRIX {
+        let mut cfg = CellConfig::benchmark("kdtree");
+        cfg.primitive = LockPrimitive::Ticket;
+        cfg.scale = scale;
+        cfg.faults = FaultPlan::none().with(fault).seeded(7);
+        cfg.check_invariants = Some(256);
+        cfg.watchdog_cycles = Some(200_000);
+        cfg.recover = true;
+        c.push(fault.to_string(), cfg);
+    }
+    c
+}
+
 /// The union of every figure suite (each at its own default scale),
 /// labels prefixed `suite:`. Configs shared between suites — fig11 and
 /// fig12 entirely, sweep points that coincide with defaults — execute
@@ -377,7 +410,7 @@ pub fn ablation(scale: f64) -> Campaign {
 pub fn all(seeds: &[u64]) -> Campaign {
     let mut c = Campaign::new("all");
     for info in SUITES {
-        if info.name == "smoke" || info.name == "all" {
+        if matches!(info.name, "smoke" | "faults" | "all") {
             continue;
         }
         let Some(member) = build(info.name, None, seeds) else {
@@ -426,11 +459,15 @@ mod tests {
         assert_eq!(fig14(0.05).cells.len(), high * 5);
         assert_eq!(fig15(0.02).cells.len(), high * 4 * (1 + 3));
         assert_eq!(ablation(0.1).cells.len(), 3 * (1 + 4 + 1 + 5));
+        assert_eq!(faults(0.1).cells.len(), FAULT_MATRIX.len());
+        let all = all(&[1]);
+        assert!(all.cells.iter().all(|c| !c.label.starts_with("faults:")));
     }
 
     #[test]
     fn fig09_cells_are_uncacheable_and_others_are_not() {
         assert!(fig09(0.2).cells.iter().all(|c| !c.config.cacheable()));
+        assert!(faults(0.1).cells.iter().all(|c| !c.config.cacheable()));
         assert!(fig11(0.2, &[1]).cells.iter().all(|c| c.config.cacheable()));
     }
 

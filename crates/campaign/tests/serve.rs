@@ -15,7 +15,7 @@
 //!   victim's debris, and the merged artifact is byte-identical to an
 //!   uninterrupted run — with zero unquarantined corrupt entries.
 
-use inpg::Mechanism;
+use inpg::{FaultKind, FaultPlan, Mechanism};
 use inpg_campaign::submit::{self, AddrSource, SubmitOptions};
 use inpg_campaign::{
     run_adaptive, AdaptiveCampaign, AdaptiveOptions, Campaign, CellConfig, EngineRunner,
@@ -575,6 +575,53 @@ fn a_cache_miss_streams_queued_running_done_notes_in_order() {
         other => panic!("expected a cached result, got {other:?}"),
     }
     assert_eq!(hit_notes, 0, "cache hits stay single-line");
+
+    daemon.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fault_cell_over_the_wire_always_runs_and_is_never_cached() {
+    let dir = scratch("fault-cell");
+    let cache = dir.join("cache");
+    let mut daemon =
+        Daemon::spawn(&dir.join("addr"), &cache, &dir.join("journal.jsonl"), &["--workers", "1"]);
+    daemon.wait_ready();
+    let addr = daemon.source().resolve().unwrap();
+
+    let mut config = quick_cell(Mechanism::Inpg, 2);
+    config.faults = FaultPlan::none().with(FaultKind::DelayJitter { max_extra: 4 }).seeded(7);
+    config.check_invariants = Some(64);
+    config.watchdog_cycles = Some(100_000);
+    let hash = config.content_hash();
+    let mut records = Vec::new();
+    for attempt in ["first", "repeated"] {
+        let reply = submit::request(
+            &addr,
+            &Request::Submit { config: config.clone(), deadline_ms: None },
+        )
+        .expect("submit the fault cell");
+        match reply {
+            Reply::Result { hash: h, cached, record, .. } => {
+                assert_eq!(h, hash);
+                assert!(!cached, "the {attempt} submit of a fault cell must run");
+                assert!(record.completed);
+                records.push(record);
+            }
+            other => panic!("expected a result for the {attempt} submit, got {other:?}"),
+        }
+    }
+    assert_eq!(records[0], records[1], "a fault cell is deterministic");
+    assert!(
+        !cache.join(format!("{hash}.json")).exists(),
+        "no cache entry may be stored under a fault cell's hash"
+    );
+    match submit::request(&addr, &Request::Status).expect("status") {
+        Reply::Status(status) => {
+            assert_eq!((status.misses, status.hits), (2, 0), "{status:?}");
+        }
+        other => panic!("expected status, got {other:?}"),
+    }
 
     daemon.drain_and_wait();
     let _ = std::fs::remove_dir_all(&dir);

@@ -496,25 +496,6 @@ impl ExperimentResult {
         }
     }
 
-    /// Mean critical-section access time (COH + CSE), the quantity
-    /// Figure 11 normalizes. Lower is better.
-    pub fn cs_access_time(&self) -> f64 {
-        self.avg_cs_coh + self.avg_cs_cse
-    }
-
-    /// Phase shares over the whole run `(parallel, coh, cse)`.
-    pub fn phase_shares(&self) -> (f64, f64, f64) {
-        let total = (self.total_parallel + self.total_coh + self.total_cse) as f64;
-        if total == 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (
-            self.total_parallel as f64 / total,
-            self.total_coh as f64 / total,
-            self.total_cse as f64 / total,
-        )
-    }
-
     /// Critical sections completed in `[from, to)` over the first
     /// `threads` threads (Figure 9's "critical sections completed
     /// during the reported 30 000 CPU cycles").
@@ -586,8 +567,6 @@ mod tests {
             .unwrap();
         assert!(r.completed);
         assert!(r.cs_count >= 16);
-        let (p, c, s) = r.phase_shares();
-        assert!((p + c + s - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,41 +6,48 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p inpg --example hot_lock_contention
+//! cargo run --release -p inpg-campaign --example hot_lock_contention
 //! ```
 
-use inpg::{Experiment, LockPrimitive, Mechanism, ThreadProgram};
-use inpg_sim::{CoreId, LockId};
+use inpg::Mechanism;
+use inpg_campaign::suites::HOT_LOCK_HOME;
+use inpg_campaign::{engine, Campaign, CellConfig, ExecOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let home = CoreId::new(6 * 8 + 5); // tile (5, 6)
-    let programs: Vec<ThreadProgram> = (0..64)
-        .map(|_| ThreadProgram::new().rounds(20, 500, LockId::new(0), 100))
-        .collect();
-
+    // 20 rounds of 500 parallel cycles then a 100-cycle critical
+    // section on every core, under TAS, the lock homed at tile (5, 6).
+    let mut campaign = Campaign::new("hot-lock-contention");
     for mechanism in [Mechanism::Original, Mechanism::Inpg] {
-        let result = Experiment::custom("hot-lock", programs.clone(), 1)
-            .mechanism(mechanism)
-            .primitive(LockPrimitive::Tas)
-            .lock_home(home)
-            .run()?;
-        assert!(result.completed);
+        let mut cell = CellConfig::hot_lock(20, 500, 100);
+        cell.mechanism = mechanism;
+        cell.lock_home = Some(HOT_LOCK_HOME);
+        campaign.push(mechanism.to_string(), cell);
+    }
+    let report = engine::execute(&campaign, &ExecOptions::quiet())?;
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert!(
+        report.incomplete().is_empty(),
+        "hit the cycle bound: {:?}",
+        report.incomplete()
+    );
 
-        println!("== {mechanism} ==");
+    for outcome in &report.outcomes {
+        let result = &outcome.record;
+        println!("== {} ==", outcome.spec.label);
         println!(
             "ROI {} cycles | Inv-Ack mean {:.1}, max {} over {} round trips | {} early invalidations",
             result.roi_cycles,
             result.invack.mean,
             result.invack.max,
             result.invack.count,
-            result.noc.early_invs,
+            result.early_invs,
         );
         println!("per-core mean Inv-Ack delay ('-' = never invalidated, H = home):");
         for y in 0..8 {
             let mut row = String::from("  ");
             for x in 0..8 {
                 let idx = y * 8 + x;
-                if idx == home.index() {
+                if idx == HOT_LOCK_HOME {
                     row.push_str("    H ");
                     continue;
                 }

@@ -6,15 +6,37 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p inpg --example primitive_shootout [-- SCALE]
+//! cargo run --release -p inpg-campaign --example primitive_shootout [-- SCALE]
 //! ```
 
 use inpg::stats::{pct, Table};
-use inpg::{Experiment, LockPrimitive, Mechanism};
+use inpg::{LockPrimitive, Mechanism};
+use inpg_campaign::{engine, Campaign, CellConfig, ExecOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = std::env::args().nth(1).map_or(0.1, |s| s.parse().unwrap_or(0.1));
+    let scale = std::env::args()
+        .nth(1)
+        .map_or(0.1, |s| s.parse().unwrap_or(0.1));
     println!("fluidanimate model, 8x8 mesh, scale {scale}\n");
+
+    // Cells in (primitive, Original then iNPG) order.
+    let mut campaign = Campaign::new("primitive-shootout");
+    for primitive in LockPrimitive::ALL {
+        for mechanism in [Mechanism::Original, Mechanism::Inpg] {
+            let mut cell = CellConfig::benchmark("fluid");
+            cell.primitive = primitive;
+            cell.mechanism = mechanism;
+            cell.scale = scale;
+            campaign.push(format!("{primitive}/{mechanism}"), cell);
+        }
+    }
+    let report = engine::execute(&campaign, &ExecOptions::quiet())?;
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert!(
+        report.incomplete().is_empty(),
+        "hit the cycle bound: {:?}",
+        report.incomplete()
+    );
 
     let mut table = Table::new(vec![
         "primitive",
@@ -24,22 +46,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "COH/CS (Original)",
         "COH/CS (iNPG)",
     ]);
-    for primitive in LockPrimitive::ALL {
-        let run = |mechanism: Mechanism| {
-            Experiment::benchmark("fluid")
-                .primitive(primitive)
-                .mechanism(mechanism)
-                .scale(scale)
-                .run()
-        };
-        let base = run(Mechanism::Original)?;
-        let inpg = run(Mechanism::Inpg)?;
-        assert!(base.completed && inpg.completed, "{primitive}");
+    for (primitive, pair) in LockPrimitive::ALL
+        .into_iter()
+        .zip(report.outcomes.chunks(2))
+    {
+        let (base, inpg) = (&pair[0].record, &pair[1].record);
         table.add_row(vec![
             primitive.to_string(),
             base.roi_cycles.to_string(),
             inpg.roi_cycles.to_string(),
-            pct(1.0 - inpg.roi_cycles as f64 / base.roi_cycles as f64),
+            pct(1.0 - inpg.relative_roi(base)),
             format!("{:.0}", base.avg_cs_coh),
             format!("{:.0}", inpg.avg_cs_coh),
         ]);

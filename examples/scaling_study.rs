@@ -4,15 +4,40 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p inpg --example scaling_study [-- SCALE]
+//! cargo run --release -p inpg-campaign --example scaling_study [-- SCALE]
 //! ```
 
 use inpg::stats::{pct, Table};
-use inpg::{Experiment, Mechanism};
+use inpg::Mechanism;
+use inpg_campaign::{engine, Campaign, CellConfig, ExecOptions};
+
+const MESHES: [(u8, u8); 4] = [(2, 2), (4, 4), (8, 8), (16, 16)];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = std::env::args().nth(1).map_or(0.1, |s| s.parse().unwrap_or(0.1));
+    let scale = std::env::args()
+        .nth(1)
+        .map_or(0.1, |s| s.parse().unwrap_or(0.1));
     println!("kdtree model (one hot lock), QSL, scale {scale}\n");
+
+    // Cells in (mesh, Original then iNPG) order.
+    let mut campaign = Campaign::new("scaling-study");
+    for (w, h) in MESHES {
+        for mechanism in [Mechanism::Original, Mechanism::Inpg] {
+            let mut cell = CellConfig::benchmark("kdtree");
+            cell.mechanism = mechanism;
+            cell.width = w;
+            cell.height = h;
+            cell.scale = scale;
+            campaign.push(format!("{w}x{h}/{mechanism}"), cell);
+        }
+    }
+    let report = engine::execute(&campaign, &ExecOptions::quiet())?;
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert!(
+        report.incomplete().is_empty(),
+        "hit the cycle bound: {:?}",
+        report.incomplete()
+    );
 
     let mut table = Table::new(vec![
         "mesh",
@@ -22,23 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "iNPG ROI reduction",
         "Inv-Ack mean orig/iNPG",
     ]);
-    for (w, h) in [(2u8, 2u8), (4, 4), (8, 8), (16, 16)] {
-        let run = |mechanism: Mechanism| {
-            Experiment::benchmark("kdtree")
-                .mechanism(mechanism)
-                .mesh(w, h)
-                .scale(scale)
-                .run()
-        };
-        let base = run(Mechanism::Original)?;
-        let inpg = run(Mechanism::Inpg)?;
-        assert!(base.completed && inpg.completed, "{w}x{h}");
+    for ((w, h), pair) in MESHES.into_iter().zip(report.outcomes.chunks(2)) {
+        let (base, inpg) = (&pair[0].record, &pair[1].record);
         table.add_row(vec![
             format!("{w}x{h}"),
-            (w as usize * h as usize).to_string(),
+            base.threads.to_string(),
             base.roi_cycles.to_string(),
             inpg.roi_cycles.to_string(),
-            pct(1.0 - inpg.roi_cycles as f64 / base.roi_cycles as f64),
+            pct(1.0 - inpg.relative_roi(base)),
             format!("{:.1} / {:.1}", base.invack.mean, inpg.invack.mean),
         ]);
     }

@@ -4,6 +4,7 @@
 
 use inpg::sim::{CoreId, LockId};
 use inpg::{Experiment, LockPrimitive, Mechanism, ThreadProgram};
+use inpg_campaign::CellRecord;
 
 fn hot_lock(threads: usize, rounds: usize) -> Vec<ThreadProgram> {
     (0..threads)
@@ -141,7 +142,7 @@ fn all_mechanisms_and_primitives_complete_on_a_benchmark() {
                 .expect("valid experiment");
             assert!(r.completed, "{mechanism}/{primitive}");
             assert!(r.cs_count > 0);
-            let (p, c, s) = r.phase_shares();
+            let (p, c, s) = CellRecord::from_result(&r).phase_shares();
             assert!((p + c + s - 1.0).abs() < 1e-9);
         }
     }

@@ -65,12 +65,25 @@ impl ResultCache {
 
     /// The entry path for a cell.
     pub fn entry_path(&self, config: &CellConfig) -> PathBuf {
-        self.dir.join(format!("{}.json", config.content_hash()))
+        self.path_at(&config.content_hash())
+    }
+
+    /// The entry path at content address `hash`.
+    pub fn path_at(&self, hash: &str) -> PathBuf {
+        self.dir.join(format!("{hash}.json"))
     }
 
     /// Loads and fully verifies the entry for `config`.
     pub fn load(&self, config: &CellConfig) -> Result<CellRecord, CacheMiss> {
-        let path = self.entry_path(config);
+        self.load_at(&config.content_hash())
+    }
+
+    /// Loads and fully verifies the entry at content address `hash`, a
+    /// cell config's [`content_hash`](CellConfig::content_hash) that the
+    /// caller already holds. The stored config is still re-hashed: that
+    /// is what proves the entry is the cell at this address.
+    pub fn load_at(&self, expected_hash: &str) -> Result<CellRecord, CacheMiss> {
+        let path = self.path_at(expected_hash);
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(CacheMiss::Absent),
@@ -78,7 +91,6 @@ impl ResultCache {
         };
         let entry = json::parse(&text).map_err(|e| CacheMiss::Malformed(e.to_string()))?;
 
-        let expected_hash = config.content_hash();
         let stored_hash = entry
             .get("config_hash")
             .and_then(Json::as_str)
@@ -129,20 +141,17 @@ impl ResultCache {
     /// rename race is benign.
     pub fn store(&self, config: &CellConfig, record: &CellRecord) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
+        let hash = config.content_hash();
+        let path = self.path_at(&hash);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed); // sync: see TMP_SEQ
+        let tmp = self.dir.join(format!(".{hash}.{}.{seq}.tmp", std::process::id()));
         let entry = Json::obj(vec![
             ("schema", Json::UInt(crate::cell::SCHEMA_VERSION)),
-            ("config_hash", Json::Str(config.content_hash())),
+            ("config_hash", Json::Str(hash)),
             ("config", config.to_json()),
             ("record_hash", Json::Str(record_hash(record))),
             ("record", record.to_json()),
         ]);
-        let path = self.entry_path(config);
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed); // sync: see TMP_SEQ
-        let tmp = self.dir.join(format!(
-            ".{}.{}.{seq}.tmp",
-            config.content_hash(),
-            std::process::id()
-        ));
         {
             let mut file = fs::File::create(&tmp)?;
             io::Write::write_all(&mut file, (entry.to_string_compact() + "\n").as_bytes())?;
@@ -180,19 +189,19 @@ impl ResultCache {
         self.dir.join("quarantine")
     }
 
-    /// Moves the (rejected) entry for `config` into
+    /// Moves the (rejected) entry at content address `hash` into
     /// `quarantine/<hash>.json` so the corruption stays inspectable and
     /// the address is free for the honest re-run. Returns `false` when
     /// there was nothing on disk to move (e.g. two shards quarantined
     /// the same entry concurrently — one wins the rename, both re-run).
-    pub fn quarantine(&self, config: &CellConfig) -> io::Result<bool> {
-        let path = self.entry_path(config);
+    pub fn quarantine(&self, hash: &str) -> io::Result<bool> {
+        let path = self.path_at(hash);
         if !path.exists() {
             return Ok(false);
         }
         let qdir = self.quarantine_dir();
         fs::create_dir_all(&qdir)?;
-        match fs::rename(&path, qdir.join(format!("{}.json", config.content_hash()))) {
+        match fs::rename(&path, qdir.join(format!("{hash}.json"))) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e),
@@ -325,7 +334,7 @@ mod tests {
         cache.store(&config, &record).unwrap();
         fs::write(cache.entry_path(&config), "{\"schema\":1, torn").unwrap();
 
-        assert!(cache.quarantine(&config).unwrap());
+        assert!(cache.quarantine(&config.content_hash()).unwrap());
         assert!(!cache.entry_path(&config).exists(), "address must be freed");
         let moved =
             cache.quarantine_dir().join(format!("{}.json", config.content_hash()));
@@ -336,7 +345,7 @@ mod tests {
         );
         assert!(matches!(cache.load(&config), Err(CacheMiss::Absent)));
         // Nothing left to move: reports false, does not error.
-        assert!(!cache.quarantine(&config).unwrap());
+        assert!(!cache.quarantine(&config.content_hash()).unwrap());
         // The quarantine subdirectory is not swept by tmp GC.
         assert_eq!(cache.gc_stale_tmp().unwrap(), 0);
         assert!(moved.exists());

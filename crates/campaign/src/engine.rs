@@ -235,11 +235,13 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
     }
 
     // Phase 1 — resolve against the cache (sequential: pure I/O).
+    let mut hashes: Vec<String> = cells.iter().map(|cell| cell.config.content_hash()).collect();
     let mut quarantined = 0usize;
     let read_cache = cache.as_ref().filter(|_| opts.resume);
     let mut resolved: Vec<Option<CellRecord>> = cells
         .iter()
-        .map(|cell| match exec::resolve(read_cache, &cell.config, &log, &cell.label) {
+        .zip(&hashes)
+        .map(|(cell, hash)| match exec::resolve(read_cache, &cell.config, hash, &log, &cell.label) {
             Lookup::Hit(record) => Some(*record),
             Lookup::Miss { quarantined: moved } => {
                 quarantined += usize::from(moved);
@@ -312,7 +314,7 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
             },
         };
         executed += usize::from(!cached);
-        let hash = cell.config.content_hash();
+        let hash = std::mem::take(&mut hashes[i]);
         outcomes.push(CellOutcome { spec: cell, hash, record, fresh, cached, wall_nanos });
     }
 

@@ -32,7 +32,9 @@ pub enum Lookup {
     Miss { quarantined: bool },
 }
 
-/// Loads and verifies the cache entry for `config`. A corrupt entry is
+/// Loads and verifies the cache entry for `config`, whose content hash
+/// the caller passes as `hash` (so a lookup encodes the request config
+/// once, not once per use). A corrupt entry is
 /// moved to `quarantine/` — inspectable, and off its content address so
 /// the honest re-run can land — and reported as a miss; an unreadable
 /// one (an I/O error, not corruption) is left in place. Uncacheable
@@ -41,13 +43,14 @@ pub enum Lookup {
 pub fn resolve(
     cache: Option<&ResultCache>,
     config: &CellConfig,
+    hash: &str,
     log: &str,
     label: &str,
 ) -> Lookup {
     let Some(cache) = cache.filter(|_| config.cacheable()) else {
         return Lookup::Miss { quarantined: false };
     };
-    let why = match cache.load(config) {
+    let why = match cache.load_at(hash) {
         Ok(record) => return Lookup::Hit(Box::new(record)),
         Err(CacheMiss::Absent) => return Lookup::Miss { quarantined: false },
         Err(CacheMiss::Unreadable(e)) => {
@@ -56,7 +59,7 @@ pub fn resolve(
         }
         Err(CacheMiss::HashMismatch(why) | CacheMiss::Malformed(why)) => why,
     };
-    match cache.quarantine(config) {
+    match cache.quarantine(hash) {
         Ok(moved) => {
             eprintln!(
                 "{log}: cache entry for `{label}` rejected ({why}); quarantined, re-running"

@@ -15,8 +15,16 @@
 //! Together these make a cached cell record re-serialize to exactly the
 //! bytes a fresh run would produce, which is what lets warm-cache and
 //! cold-cache campaigns emit byte-identical merged artifacts.
+//!
+//! Both directions are **linear in the document length**: the parser
+//! copies each run of plain string bytes as one slice (validating only
+//! that slice as UTF-8), and the writer formats numbers and escapes
+//! straight into its output buffer. A warm cache hit parses one entry
+//! and encodes one reply, so this bounds its cost by the entry's size.
+//! Nesting deeper than [`MAX_DEPTH`] is refused, so no input can
+//! exhaust the parsing thread's stack.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Object fields keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,18 +118,23 @@ impl fmt::Display for Json {
 }
 
 fn write_compact(v: &Json, out: &mut String) {
+    // `fmt::Write` for `String` never fails.
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::UInt(n) => out.push_str(&n.to_string()),
-        Json::Int(n) => out.push_str(&n.to_string()),
+        Json::UInt(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Json::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
         Json::Num(n) => {
             if n.is_finite() {
                 // Shortest-roundtrip Display; force a fractional part so
                 // the value parses back into the `Num` arm, not `UInt`.
-                let s = n.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
+                let start = out.len();
+                let _ = write!(out, "{n}");
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -154,21 +167,32 @@ fn write_compact(v: &Json, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string. Every byte that needs an escape is
+/// ASCII, so the runs between them are copied as whole `&str` slices.
 fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -189,7 +213,7 @@ impl std::error::Error for ParseError {}
 
 /// Parses one JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { b: text.as_bytes(), i: 0 };
+    let mut p = Parser { b: text.as_bytes(), i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -199,9 +223,17 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The engine's own
+/// documents nest a few levels; the bound keeps a hostile request line
+/// from recursing the parsing thread off its stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    /// The bytes of the `&str` input.
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,12 +272,17 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err("nesting deeper than MAX_DEPTH"))
+            }
             Some(b'[') => {
                 self.i += 1;
+                self.depth += 1;
                 let mut items = Vec::new();
                 self.ws();
                 if self.b.get(self.i) == Some(&b']') {
                     self.i += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 loop {
@@ -256,6 +293,7 @@ impl Parser<'_> {
                         Some(b',') => self.i += 1,
                         Some(b']') => {
                             self.i += 1;
+                            self.depth -= 1;
                             return Ok(Json::Arr(items));
                         }
                         _ => return Err(self.err("expected `,` or `]`")),
@@ -264,10 +302,12 @@ impl Parser<'_> {
             }
             Some(b'{') => {
                 self.i += 1;
+                self.depth += 1;
                 let mut fields = Vec::new();
                 self.ws();
                 if self.b.get(self.i) == Some(&b'}') {
                     self.i += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(fields));
                 }
                 loop {
@@ -283,6 +323,7 @@ impl Parser<'_> {
                         Some(b',') => self.i += 1,
                         Some(b'}') => {
                             self.i += 1;
+                            self.depth -= 1;
                             return Ok(Json::Obj(fields));
                         }
                         _ => return Err(self.err("expected `,` or `}`")),
@@ -335,13 +376,16 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` as one
+                    // slice: both are ASCII, so on a `&str` input the run
+                    // starts and ends on char boundaries.
+                    let start = self.i;
+                    while self.b.get(self.i).is_some_and(|&c| c != b'"' && c != b'\\') {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i])
+                        .map_err(|_| ParseError { at: start, msg: "bad utf-8".into() })?;
+                    out.push_str(run);
                 }
             }
         }

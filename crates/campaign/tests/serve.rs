@@ -8,6 +8,10 @@
 //! * the admission bound sheds honestly with a retry hint;
 //! * a queued cell that reached the cache meanwhile is a hit, not a
 //!   second run, and its latency is not reported as a warm hit;
+//! * two workers never run one cell at once: the second copy waits for
+//!   the first and is answered from the cache;
+//! * every hit is verified: an entry corrupted after it was served is
+//!   quarantined and the cell re-run;
 //! * a graceful drain journals queued cells, and a restarted daemon
 //!   finishes the campaign with a byte-identical merged artifact;
 //! * SIGKILLing one of two daemons sharing a cache mid-campaign loses
@@ -913,5 +917,105 @@ fn a_drain_wakes_a_daemon_bound_to_the_unspecified_address() {
         !daemon.addr_file.exists(),
         "a drained daemon removes its addr-file"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_submits_of_one_cell_run_it_once_on_two_workers() {
+    let dir = scratch("single-flight");
+    let mut daemon = Daemon::spawn(
+        &dir.join("addr"),
+        &dir.join("cache"),
+        &dir.join("journal.jsonl"),
+        &["--workers", "2"],
+    );
+    daemon.wait_ready();
+    let campaign = tiny_campaign();
+
+    // Two clients submit the same campaign at once, so the two workers
+    // pop the two copies of a cell side by side: the second must wait
+    // for the first's run and be answered from the cache.
+    let clients: Vec<_> = ["a", "b"]
+        .into_iter()
+        .map(|tag| {
+            let (campaign, source) = (campaign.clone(), daemon.source());
+            let merged = dir.join(format!("{tag}.jsonl"));
+            std::thread::spawn(move || {
+                submit::run_campaign(
+                    &campaign,
+                    None,
+                    &SubmitOptions {
+                        daemons: vec![source],
+                        workers: 4,
+                        merged_out: Some(merged.clone()),
+                        ..SubmitOptions::default()
+                    },
+                )
+                .expect("concurrent campaign");
+                merged
+            })
+        })
+        .collect();
+    let merged: Vec<PathBuf> =
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect();
+
+    let status = submit::status(&daemon.source()).expect("status");
+    let cells = campaign.cells.len() as u64;
+    assert_eq!(status.misses, cells, "each distinct cell runs once: {status:?}");
+    assert_eq!(status.hits + status.misses, 2 * cells, "{status:?}");
+    assert_eq!((status.queued, status.in_flight), (0, 0), "{status:?}");
+    assert_eq!(
+        std::fs::read(&merged[0]).unwrap(),
+        std::fs::read(&merged[1]).unwrap(),
+        "both clients merge the same artifact"
+    );
+
+    daemon.drain_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_entry_corrupted_after_a_verified_hit_is_rerun_and_quarantined() {
+    let dir = scratch("corrupt-after-hit");
+    let cache = dir.join("cache");
+    let mut daemon =
+        Daemon::spawn(&dir.join("addr"), &cache, &dir.join("journal.jsonl"), &["--workers", "1"]);
+    daemon.wait_ready();
+    let addr = daemon.source().resolve().unwrap();
+    let config = quick_cell(Mechanism::Inpg, 2);
+    let submit = || {
+        match submit::request(&addr, &Request::Submit { config: config.clone(), deadline_ms: None })
+            .expect("submit")
+        {
+            Reply::Result { cached, record, .. } => (cached, record),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    };
+
+    let (cached, fresh) = submit();
+    assert!(!cached, "the first submit runs the cell");
+    let (cached, hit) = submit();
+    assert!(cached, "the second submit is a verified hit");
+    assert_eq!(hit, fresh);
+
+    // One changed payload digit: the entry still parses, and only the
+    // record re-hash can tell. A hit path that trusted an entry it had
+    // verified before would serve the forged record.
+    let entry = cache.join(format!("{}.json", config.content_hash()));
+    let text = std::fs::read_to_string(&entry).unwrap();
+    let needle = format!("\"roi_cycles\":{}", fresh.roi_cycles);
+    let forged = text.replace(&needle, &format!("\"roi_cycles\":{}", fresh.roi_cycles + 1));
+    assert_ne!(text, forged, "the tamper target is in the entry");
+    std::fs::write(&entry, forged).unwrap();
+
+    let (cached, rerun) = submit();
+    assert!(!cached, "a corrupt entry is never served");
+    assert_eq!(rerun, fresh, "the re-run reproduces the honest record");
+    let status = submit::status(&daemon.source()).expect("status");
+    assert_eq!((status.hits, status.misses, status.quarantined), (1, 2, 1), "{status:?}");
+    assert_eq!(quarantined_entries(&cache), 1, "the forged entry is kept for inspection");
+    assert_eq!(std::fs::read_to_string(&entry).unwrap(), text, "the re-run restored the entry");
+
+    daemon.drain_and_wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

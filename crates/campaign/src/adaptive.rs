@@ -619,8 +619,7 @@ mod tests {
         c.width = 2;
         c.height = 2;
         c.max_cycles = 1_000_000;
-        let result = c.to_experiment().run().expect("valid experiment");
-        let mut record = CellRecord::from_result(&result);
+        let mut record = c.run().expect("valid cell");
         record.roi_cycles = roi_cycles;
         record
     }

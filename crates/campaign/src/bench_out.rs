@@ -291,7 +291,7 @@ pub fn write_adaptive_bench_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellConfig, CellRecord, CellSpec};
+    use crate::cell::{CellConfig, CellSpec};
     use crate::engine::CellOutcome;
     use std::path::PathBuf;
 
@@ -302,19 +302,17 @@ mod tests {
         wall_nanos: u64,
     ) -> CampaignReport {
         let config = CellConfig::benchmark("freq");
-        let result = {
+        let record = {
             let mut c = CellConfig::hot_lock(1, 40, 20);
             c.width = 2;
             c.height = 2;
             c.max_cycles = 1_000_000;
-            c.to_experiment().run().expect("valid")
+            c.run().expect("valid")
         };
-        let record = CellRecord::from_result(&result);
         let outcome = CellOutcome {
             spec: CellSpec { label: "only".into(), config: config.clone() },
             hash: config.content_hash(),
             record,
-            fresh: None,
             cached: !executed_all,
             wall_nanos: if executed_all { wall_nanos } else { 0 },
         };

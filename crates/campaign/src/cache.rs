@@ -232,8 +232,8 @@ mod tests {
         config.height = 2;
         config.mechanism = Mechanism::Original;
         config.max_cycles = 1_000_000;
-        let result = config.to_experiment().run().expect("valid experiment");
-        (config.clone(), CellRecord::from_result(&result))
+        let record = config.run().expect("valid cell");
+        (config, record)
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! config — exactly what makes content-addressed caching sound.
 
 use crate::json::{self, Json};
-use inpg::{
-    Experiment, ExperimentResult, FaultKind, FaultPlan, LockPrimitive, Mechanism, ThreadProgram,
-};
+use inpg::coherence::InvAckRoundTrips;
+use inpg::manycore::{LockPlacement, RunResult, System};
+use inpg::noc::BigRouterPlacement;
+use inpg::stats::PhaseCounters;
+use inpg::{FaultKind, FaultPlan, LockPrimitive, Mechanism, SimError, SystemConfig, ThreadProgram};
 use inpg_sim::{CoreId, LockId};
+use inpg_workloads::{benchmark, generate, GenOptions};
 use std::fmt;
 
 /// Schema carried inside every cache entry; bump on layout changes so
@@ -48,7 +51,8 @@ impl CellWorkload {
 
 /// Full configuration of one experiment cell: the one description of a
 /// run, whether it comes from a suite, `inpg run` or a daemon's wire.
-/// Field defaults mirror [`Experiment`]'s.
+/// [`system`](Self::system) is the one place it becomes a
+/// [`SystemConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     pub workload: CellWorkload,
@@ -85,7 +89,8 @@ pub struct CellConfig {
 }
 
 impl CellConfig {
-    /// A benchmark cell with [`Experiment`]'s defaults.
+    /// A benchmark cell with the defaults: Original, QSL, 8×8, the
+    /// paper's CS counts.
     pub fn benchmark(name: &str) -> Self {
         CellConfig {
             workload: CellWorkload::Benchmark { name: name.to_string() },
@@ -139,7 +144,8 @@ impl CellConfig {
     }
 
     /// Whether the cell's result may be cached on disk. Timeline cells
-    /// carry their (huge, in-process) timeline and must run fresh; a
+    /// are run for their timeline, which only the live [`System`] holds
+    /// and no record carries, so they must run fresh; a
     /// run-check cell asks how the simulator copes, and runs fresh too.
     pub fn cacheable(&self) -> bool {
         !self.record_timeline && !self.has_run_checks()
@@ -277,55 +283,97 @@ impl CellConfig {
         format!("{:016x}", fnv1a64(self.canonical().as_bytes()))
     }
 
-    /// Builds the runnable [`Experiment`] for this cell.
-    pub fn to_experiment(&self) -> Experiment {
-        let mut e = match &self.workload {
-            CellWorkload::Benchmark { name } => Experiment::benchmark(name).scale(self.scale),
-            CellWorkload::HotLock { rounds, compute, cs_cycles } => {
-                let threads = usize::from(self.width) * usize::from(self.height);
-                let programs: Vec<ThreadProgram> = (0..threads)
-                    .map(|_| {
-                        ThreadProgram::new().rounds(
-                            *rounds as usize,
-                            *compute,
-                            LockId::new(0),
-                            *cs_cycles,
-                        )
-                    })
-                    .collect();
-                Experiment::custom(self.workload.name(), programs, 1)
-            }
-        };
-        e = e
-            .mechanism(self.mechanism)
-            .primitive(self.primitive)
-            .mesh(self.width, self.height)
-            .barrier_entries(self.barrier_entries)
-            .retry_budget(self.retry_budget)
-            .seed(self.seed)
-            .record_timeline(self.record_timeline)
-            .max_cycles(self.max_cycles)
-            .faults(self.faults.clone())
-            .recover(self.recover);
-        if let Some(count) = self.big_routers {
-            e = e.big_routers(count);
-        }
-        if let Some(core) = self.lock_home {
-            e = e.lock_home(CoreId::new(core));
-        }
-        if let Some(cycles) = self.watchdog_cycles {
-            e = e.watchdog_cycles(cycles);
-        }
-        if let Some(interval) = self.check_invariants {
-            e = e.check_invariants(interval);
-        }
+    /// Builds the system this cell runs: the one place a cell becomes a
+    /// [`SystemConfig`], its programs, its lock count and its lock
+    /// placement.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] for an inconsistent configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload names no modelled benchmark; see
+    /// [`BENCHMARKS`](inpg_workloads::BENCHMARKS).
+    pub fn system(&self) -> Result<System, SimError> {
+        let mut cfg = SystemConfig::baseline();
+        cfg.noc.width = self.width;
+        cfg.noc.height = self.height;
+        cfg.noc.barrier_entries = self.barrier_entries;
+        cfg.noc.faults = self.faults.clone();
+        cfg.primitive = self.primitive;
+        cfg.retry_budget = self.retry_budget;
+        cfg.record_timeline = self.record_timeline;
+        cfg.max_cycles = self.max_cycles;
+        cfg.watchdog_cycles = self.watchdog_cycles;
+        cfg.invariant_check_interval = self.check_invariants;
+        cfg.recover = self.recover;
         if let Some(cycles) = self.recovery_timeout {
-            e = e.recovery_timeout(cycles);
+            cfg.recovery_timeout = cycles;
         }
         if let Some(budget) = self.recovery_retry_budget {
-            e = e.recovery_retry_budget(budget);
+            cfg.recovery_retry_budget = budget;
         }
-        e
+        let mut cfg = self.mechanism.apply(cfg);
+        if let Some(count) = self.big_routers {
+            cfg.noc.placement = if count == 0 {
+                BigRouterPlacement::None
+            } else {
+                BigRouterPlacement::Spread(count)
+            };
+        }
+        // `System::new` validates too, but `generate` asserts a nonzero
+        // thread count: an invalid mesh must be rejected before it runs.
+        cfg.validate()?;
+        let threads = cfg.cores();
+        let (programs, locks) = match &self.workload {
+            CellWorkload::Benchmark { name } => {
+                let spec = benchmark(name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
+                let options = GenOptions { threads, scale: self.scale, seed: self.seed };
+                (generate(spec, options), spec.locks)
+            }
+            CellWorkload::HotLock { rounds, compute, cs_cycles } => {
+                let program = ThreadProgram::new().rounds(
+                    *rounds as usize,
+                    *compute,
+                    LockId::new(0),
+                    *cs_cycles,
+                );
+                (vec![program; threads], 1)
+            }
+        };
+        let placement = match self.lock_home {
+            Some(core) => LockPlacement::At(CoreId::new(core)),
+            None => LockPlacement::Interleaved,
+        };
+        Ok(System::new(cfg, programs, locks, placement)?)
+    }
+
+    /// Builds the cell's system, runs it to completion (or its cycle
+    /// bound) and reads the record off it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] for an inconsistent configuration,
+    /// [`SimError::Stall`] when an armed watchdog fires, and
+    /// [`SimError::Invariant`] when the invariant sweep finds the
+    /// protocol in an impossible state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload names no modelled benchmark.
+    pub fn run(&self) -> Result<CellRecord, SimError> {
+        let mut system = self.system()?;
+        let run = system.run()?;
+        Ok(CellRecord::collect(&system, run))
+    }
+
+    /// The cell itself, so that `config.to_experiment().run()` is
+    /// [`run`](Self::run): the benchmark harness
+    /// (`perfbench/src/sim.rs`) still calls it by that name.
+    #[doc(hidden)]
+    pub fn to_experiment(&self) -> &Self {
+        self
     }
 }
 
@@ -391,17 +439,18 @@ pub struct InvAckRecord {
 }
 
 impl InvAckRecord {
-    fn from_summary(s: &inpg::InvAckSummary) -> Self {
-        let mut histogram = s.histogram.clone();
+    /// Summarizes `trips` over the mesh's `cores`.
+    fn of(trips: &InvAckRoundTrips, cores: usize) -> Self {
+        let mut histogram = trips.histogram().to_vec();
         while histogram.last() == Some(&0) {
             histogram.pop();
         }
         InvAckRecord {
-            mean: s.mean,
-            max: s.max,
-            count: s.count,
+            mean: trips.mean(),
+            max: trips.max(),
+            count: trips.total_count(),
             histogram,
-            per_core_mean: s.per_core_mean.clone(),
+            per_core_mean: (0..cores).map(|c| trips.mean_for(CoreId::new(c))).collect(),
         }
     }
 
@@ -483,31 +532,48 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Extracts the record from a full in-process result.
-    pub fn from_result(r: &ExperimentResult) -> Self {
+    /// Reads the record off a system that `run` has finished.
+    pub fn collect(system: &System, run: RunResult) -> Self {
+        let per_thread = system.thread_counters();
+        let total = |phase: fn(&PhaseCounters) -> u64| per_thread.iter().map(phase).sum::<u64>();
+        let cs_count: usize = per_thread.iter().map(PhaseCounters::cs_count).sum();
+        let per_cs = |cycles: u64| {
+            if cs_count == 0 {
+                0.0
+            } else {
+                cycles as f64 / cs_count as f64
+            }
+        };
+        let (mut invack, early) = system.invack_roundtrips_split();
+        invack.merge(&early);
+        let cores = system.config().cores();
+        let (lco_cycles, mem_txn_cycles) = system.lco_cycles();
+        let noc = system.noc_stats();
+        let barrier = system.barrier_stats();
+        let home = system.home_stats();
         CellRecord {
-            completed: r.completed,
-            roi_cycles: r.roi_cycles,
-            cs_count: r.cs_count as u64,
-            threads: r.per_thread.len() as u64,
-            avg_cs_coh: r.avg_cs_coh,
-            avg_cs_cse: r.avg_cs_cse,
-            total_parallel: r.total_parallel,
-            total_coh: r.total_coh,
-            total_cse: r.total_cse,
-            total_sleep: r.total_sleep,
-            lco_cycles: r.lco_cycles,
-            mem_txn_cycles: r.mem_txn_cycles,
-            invack: InvAckRecord::from_summary(&r.invack),
-            invack_early: InvAckRecord::from_summary(&r.invack_early),
-            delivered: r.noc.delivered,
-            mean_latency: r.noc.mean_latency,
-            generated: r.noc.generated,
-            early_invs: r.noc.early_invs,
-            requests_stopped: r.barrier.requests_stopped,
-            acks_relayed: r.barrier.acks_relayed,
-            home_invs_sent: r.home_invs_sent,
-            home_invs_saved: r.home_invs_saved,
+            completed: run.completed,
+            roi_cycles: run.cycles,
+            cs_count: cs_count as u64,
+            threads: per_thread.len() as u64,
+            avg_cs_coh: per_cs(total(PhaseCounters::total_cs_coh)),
+            avg_cs_cse: per_cs(total(PhaseCounters::total_cs_cse)),
+            total_parallel: total(|c| c.parallel_cycles),
+            total_coh: total(|c| c.coh_cycles),
+            total_cse: total(|c| c.cse_cycles),
+            total_sleep: total(|c| c.sleep_cycles),
+            lco_cycles,
+            mem_txn_cycles,
+            invack: InvAckRecord::of(&invack, cores),
+            invack_early: InvAckRecord::of(&early, cores),
+            delivered: noc.delivered,
+            mean_latency: noc.mean_latency(),
+            generated: noc.generated_packets,
+            early_invs: noc.early_invs_generated,
+            requests_stopped: barrier.requests_stopped,
+            acks_relayed: barrier.acks_relayed,
+            home_invs_sent: home.invs_sent,
+            home_invs_saved: home.invs_saved_by_early,
         }
     }
 
@@ -774,8 +840,7 @@ mod tests {
         config.height = 4;
         config.max_cycles = 3_000_000;
         config.mechanism = Mechanism::Inpg;
-        let result = config.to_experiment().run().expect("valid experiment");
-        let record = CellRecord::from_result(&result);
+        let record = config.run().expect("valid cell");
         assert!(record.completed);
         assert_eq!(record.cs_count, 32);
         assert!(record.requests_stopped > 0, "iNPG must stop requests");
@@ -817,7 +882,7 @@ mod tests {
         let back = CellConfig::from_json(&json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(back, config);
         assert_eq!(back.canonical(), encoded);
-        assert_eq!(back.to_experiment().run().is_ok(), config.to_experiment().run().is_ok());
+        assert_eq!(back.run().is_ok(), config.run().is_ok());
     }
 
     #[test]
@@ -856,6 +921,126 @@ mod tests {
                 .expect_err("a malformed run check must not parse");
             assert!(!err.0.is_empty(), "{bad}");
         }
+    }
+
+    /// 16 cores each running two rounds of 60 parallel cycles and a
+    /// 25-cycle TAS critical section on one lock.
+    fn tiny_hot_lock(mechanism: Mechanism) -> CellRecord {
+        let mut config = CellConfig::hot_lock(2, 60, 25);
+        config.mechanism = mechanism;
+        config.width = 4;
+        config.height = 4;
+        config.max_cycles = 3_000_000;
+        config.run().expect("valid cell")
+    }
+
+    #[test]
+    fn runs_all_mechanisms_on_custom_workload() {
+        for mechanism in Mechanism::ALL {
+            let r = tiny_hot_lock(mechanism);
+            assert!(r.completed, "{mechanism}");
+            assert_eq!(r.cs_count, 32, "{mechanism}");
+            assert!(r.roi_cycles > 0);
+            assert!(r.avg_cs_cse >= 25.0);
+        }
+    }
+
+    #[test]
+    fn inpg_generates_packets_baseline_does_not() {
+        let base = tiny_hot_lock(Mechanism::Original);
+        assert_eq!(base.generated, 0);
+        assert_eq!(base.requests_stopped, 0);
+        let inpg = tiny_hot_lock(Mechanism::Inpg);
+        assert!(inpg.generated > 0);
+        assert!(inpg.requests_stopped > 0);
+    }
+
+    #[test]
+    fn benchmark_experiment_scales() {
+        let mut config = CellConfig::benchmark("vips");
+        config.width = 4;
+        config.height = 4;
+        config.scale = 0.05;
+        config.max_cycles = 10_000_000;
+        let r = config.run().unwrap();
+        assert!(r.completed);
+        assert!(r.cs_count >= 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown benchmark")]
+    fn unknown_benchmark_panics() {
+        let _ = CellConfig::benchmark("doom").system();
+    }
+
+    #[test]
+    fn invalid_configurations_are_rejected() {
+        let vips = |width, height| CellConfig {
+            width,
+            height,
+            scale: 0.01,
+            ..CellConfig::benchmark("vips")
+        };
+        for (why, config) in [
+            ("zero-size mesh", vips(0, 4)),
+            ("lock homed outside the mesh", CellConfig { lock_home: Some(99), ..vips(2, 2) }),
+            (
+                "zero barrier entries with big routers deployed",
+                CellConfig { mechanism: Mechanism::Inpg, barrier_entries: 0, ..vips(2, 2) },
+            ),
+        ] {
+            match config.run() {
+                Err(SimError::Config(_)) => {}
+                other => panic!("{why}: expected a config error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_field_reaches_the_built_system() {
+        let config = CellConfig {
+            mechanism: Mechanism::InpgOcor,
+            primitive: LockPrimitive::Mcs,
+            width: 4,
+            height: 2,
+            barrier_entries: 7,
+            retry_budget: 9,
+            record_timeline: true,
+            max_cycles: 123_456,
+            watchdog_cycles: Some(50_000),
+            check_invariants: Some(32),
+            faults: FaultPlan::none().with(FaultKind::DelayJitter { max_extra: 3 }).seeded(7),
+            recover: true,
+            recovery_timeout: Some(4096),
+            recovery_retry_budget: Some(5),
+            ..CellConfig::hot_lock(1, 10, 5)
+        };
+        let system = config.system().expect("valid cell");
+        let cfg = system.config();
+        assert_eq!((cfg.noc.width, cfg.noc.height), (4, 2));
+        assert_eq!(cfg.noc.barrier_entries, 7);
+        assert_eq!(cfg.primitive, LockPrimitive::Mcs);
+        assert_eq!(cfg.retry_budget, 9);
+        assert!(cfg.record_timeline);
+        assert!(system.timeline().is_some());
+        assert_eq!(cfg.max_cycles, 123_456);
+        assert_eq!(cfg.watchdog_cycles, Some(50_000));
+        assert_eq!(cfg.invariant_check_interval, Some(32));
+        assert_eq!(cfg.noc.faults, config.faults);
+        assert!(cfg.recover);
+        assert_eq!(cfg.recovery_timeout, 4096);
+        assert_eq!(cfg.recovery_retry_budget, 5);
+        assert!(cfg.ocor && cfg.noc.ocor_arbitration);
+        assert_eq!(cfg.noc.placement, BigRouterPlacement::Checkerboard);
+
+        let placement = |mechanism, big_routers| {
+            let config = CellConfig { mechanism, big_routers, ..CellConfig::hot_lock(1, 10, 5) };
+            config.system().expect("valid cell").config().noc.placement
+        };
+        assert_eq!(placement(Mechanism::Original, None), BigRouterPlacement::None);
+        assert_eq!(placement(Mechanism::Inpg, None), BigRouterPlacement::Checkerboard);
+        assert_eq!(placement(Mechanism::Inpg, Some(0)), BigRouterPlacement::None);
+        assert_eq!(placement(Mechanism::Inpg, Some(4)), BigRouterPlacement::Spread(4));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::clock::{cycles_per_sec, HarnessClock};
 use crate::exec::{self, Lookup, Ran};
 use crate::json::Json;
 use crate::pool;
-use inpg::{ExperimentResult, SimError};
+use inpg::SimError;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -79,9 +79,6 @@ pub struct CellOutcome {
     pub hash: String,
     /// The deterministic record (freshly computed or cache-verified).
     pub record: CellRecord,
-    /// The full in-process result, present only when the cell executed
-    /// this run (timeline-recording cells always execute).
-    pub fresh: Option<ExperimentResult>,
     /// Whether the record came from the cache.
     pub cached: bool,
     /// Wall nanoseconds this run spent executing the cell (0 if cached).
@@ -280,13 +277,13 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
 
     // Phase 3 — merge in canonical order. Slots are in canonical order
     // of their owners, so the first failed slot is the canonically first
-    // failing cell. A slot's owner (canonically first) takes the fresh
-    // result; later cells with the same config share its record and
+    // failing cell. A slot's owner (canonically first) counts as
+    // executed; later cells with the same config share its record and
     // count as cached — they were served without running a simulator.
     let mut slots = Vec::with_capacity(ran.len());
     for (slot, ran) in ran.into_iter().enumerate() {
         slots.push(match ran {
-            Ran::Done { record, fresh, wall_nanos } => Ok((*record, Some(*fresh), wall_nanos)),
+            Ran::Done { record, wall_nanos } => Ok((*record, wall_nanos)),
             Ran::Failed(error) => {
                 let label = cells[plan.owners[slot]].label.clone();
                 return Err(CampaignError::Cell { label, error });
@@ -298,13 +295,13 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
     let mut failed: Vec<FailedCell> = Vec::new();
     let mut executed = 0;
     for (i, cell) in cells.into_iter().enumerate() {
-        let (record, fresh, cached, wall_nanos) = match resolved[i].take() {
-            Some(record) => (record, None, true, 0),
-            None => match &mut slots[plan.slot(i)] {
-                Ok((record, fresh, wall_nanos)) if plan.is_owner(i) => {
-                    (record.clone(), fresh.take(), false, *wall_nanos)
+        let (record, cached, wall_nanos) = match resolved[i].take() {
+            Some(record) => (record, true, 0),
+            None => match &slots[plan.slot(i)] {
+                Ok((record, wall_nanos)) if plan.is_owner(i) => {
+                    (record.clone(), false, *wall_nanos)
                 }
-                Ok((record, _, _)) => (record.clone(), None, true, 0),
+                Ok((record, _)) => (record.clone(), true, 0),
                 // Every cell sharing the panicked config fails with the
                 // same reason; the merge order keeps the list canonical.
                 Err(reason) => {
@@ -315,7 +312,7 @@ pub fn execute(campaign: &Campaign, opts: &ExecOptions) -> Result<CampaignReport
         };
         executed += usize::from(!cached);
         let hash = std::mem::take(&mut hashes[i]);
-        outcomes.push(CellOutcome { spec: cell, hash, record, fresh, cached, wall_nanos });
+        outcomes.push(CellOutcome { spec: cell, hash, record, cached, wall_nanos });
     }
 
     let report = CampaignReport {

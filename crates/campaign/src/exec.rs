@@ -13,7 +13,7 @@ use crate::cache::{CacheMiss, ResultCache};
 use crate::cell::{CellConfig, CellRecord};
 use crate::clock::HarnessClock;
 use crate::json::Json;
-use inpg::{ExperimentResult, SimError};
+use inpg::SimError;
 use inpg_sim::AbortHandle;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -82,17 +82,17 @@ pub fn resolve(
 pub enum Ran {
     /// The simulation finished (completed, or stopped at its cycle
     /// bound); the record is already in the cache.
-    Done { record: Box<CellRecord>, fresh: Box<ExperimentResult>, wall_nanos: u64 },
+    Done { record: Box<CellRecord>, wall_nanos: u64 },
     /// The simulation returned an error: bad config, stall, invariant
     /// violation, or [`SimError::Aborted`] once `abort` was raised.
     Failed(SimError),
-    /// Building or running the experiment panicked (an unknown
-    /// benchmark name, a simulator bug); the panic message.
+    /// Building or running the system panicked (an unknown benchmark
+    /// name, a simulator bug); the panic message.
     Panicked(String),
 }
 
 /// Builds and runs one cell under `catch_unwind`, so a panic anywhere
-/// from experiment construction on is returned instead of unwinding
+/// from system construction on is returned instead of unwinding
 /// into the caller's worker. The run is timed here at the harness
 /// boundary, stopped cooperatively once `abort` (if any) is raised, and
 /// a finished cacheable record is stored in `cache`; a failed store is
@@ -106,26 +106,25 @@ pub fn run_cell(
 ) -> Ran {
     let clock = HarnessClock::start();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let experiment = config.to_experiment();
-        match abort {
-            Some(handle) => experiment.abort_on(handle),
-            None => experiment,
+        let mut system = config.system()?;
+        if let Some(handle) = abort {
+            system.set_abort(handle);
         }
-        .run()
+        let run = system.run()?;
+        Ok(CellRecord::collect(&system, run))
     }));
     let wall_nanos = clock.elapsed_nanos();
-    let fresh = match outcome {
-        Ok(Ok(fresh)) => fresh,
+    let record = match outcome {
+        Ok(Ok(record)) => record,
         Ok(Err(error)) => return Ran::Failed(error),
         Err(payload) => return Ran::Panicked(panic_message(payload.as_ref())),
     };
-    let record = CellRecord::from_result(&fresh);
     if let Some(cache) = cache.filter(|_| config.cacheable()) {
         if let Err(e) = cache.store(config, &record) {
             eprintln!("{log}: cannot cache `{label}`: {e} (continuing)");
         }
     }
-    Ran::Done { record: Box::new(record), fresh: Box::new(fresh), wall_nanos }
+    Ran::Done { record: Box::new(record), wall_nanos }
 }
 
 /// The message of a caught panic: `panic!` payloads are `&str` or
@@ -141,8 +140,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Which cells execute when identical configs share one run. fig11 and
 /// fig12 share their cell set and knob sweeps repeat the default point,
 /// so the content hash that addresses the cache also dedupes within a
-/// run. Uncacheable (timeline) cells never share: each consumer needs
-/// its own fresh result.
+/// run. Uncacheable (timeline, run-check) cells never share: each one
+/// runs.
 #[derive(Debug, Default)]
 pub struct Dedup {
     /// The cell index that executes for each slot, in canonical order.
@@ -255,6 +254,38 @@ mod tests {
         assert_eq!(plan.slot(2), plan.slot(0));
         assert!(plan.is_owner(0) && !plan.is_owner(2));
         assert!(plan.is_owner(3) && plan.is_owner(4));
+    }
+
+    #[test]
+    fn a_raised_abort_handle_stops_the_run() {
+        // Four cores, 50 rounds each on one lock: long enough that an
+        // unraised run passes many abort poll points.
+        let config = CellConfig {
+            width: 2,
+            height: 2,
+            primitive: inpg::LockPrimitive::Qsl,
+            ..CellConfig::hot_lock(50, 400, 100)
+        };
+
+        // Raised before the run starts: the simulator must wind down at
+        // its first poll point, well short of the workload's runtime.
+        let handle = AbortHandle::new();
+        handle.abort();
+        match run_cell(None, &config, Some(handle), "t", "aborted") {
+            Ran::Failed(SimError::Aborted { cycle }) => {
+                assert!(cycle.as_u64() < 2048, "{cycle:?}");
+            }
+            other => panic!("expected Aborted, got {other:?}"),
+        }
+
+        // Never raised: the same cell completes normally and its record
+        // equals a run with no handle at all.
+        let ran = run_cell(None, &config, Some(AbortHandle::new()), "t", "unaborted");
+        let Ran::Done { record, .. } = ran else {
+            panic!("an unraised handle must not disturb the run: {ran:?}");
+        };
+        assert!(record.completed);
+        assert_eq!(*record, config.run().expect("plain run"));
     }
 
     #[test]

@@ -9,9 +9,38 @@
 //! is emitted in canonical cell order — a 1-worker run, an N-worker run, and a
 //! warm-cache run produce byte-identical merged output.
 //!
+//! # Quickstart
+//!
+//! One cell is one run: [`CellConfig::system`] builds the system it
+//! describes and [`CellConfig::run`] runs it and reads off its
+//! [`CellRecord`].
+//!
+//! ```
+//! use inpg::Mechanism;
+//! use inpg_campaign::CellConfig;
+//!
+//! // Compare the baseline against iNPG on the freqmine model
+//! // (scaled down so the doctest stays quick).
+//! let run = |mechanism: Mechanism| {
+//!     let mut cell = CellConfig::benchmark("freq");
+//!     cell.mechanism = mechanism;
+//!     cell.width = 4;
+//!     cell.height = 4;
+//!     cell.scale = 0.01;
+//!     cell.run()
+//! };
+//! let base = run(Mechanism::Original)?;
+//! let inpg = run(Mechanism::Inpg)?;
+//! assert!(base.completed && inpg.completed);
+//! assert!(base.cs_count > 0);
+//! assert!(inpg.requests_stopped > 0, "early invalidation fired");
+//! # Ok::<(), inpg::SimError>(())
+//! ```
+//!
 //! Module map:
 //!
-//! * [`cell`] — cell configs, records, content hashing.
+//! * [`cell`] — cell configs, the run step (config → system → record),
+//!   records, content hashing.
 //! * [`suites`] — the named cell sets (one per paper figure + smoke).
 //! * [`report`] — every figure's text, rendered from a merged artifact.
 //! * [`cache`] — the on-disk content-addressed result cache.

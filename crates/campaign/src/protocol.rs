@@ -417,8 +417,7 @@ mod tests {
         config.width = 2;
         config.height = 2;
         config.max_cycles = 1_000_000;
-        let result = config.to_experiment().run().expect("valid experiment");
-        CellRecord::from_result(&result)
+        config.run().expect("valid cell")
     }
 
     #[test]

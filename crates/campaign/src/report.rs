@@ -14,16 +14,17 @@
 //! torn line or a missing footer is a [`ReportError`], never a panic.
 
 use crate::cell::{CellConfig, CellRecord, SchemaError};
-use crate::engine::{self, ExecOptions};
+use crate::engine;
 use crate::json::{self, Json};
+use crate::pool;
 use crate::suites::{
     self, high_group, seed_label, ABLATION_BUDGETS, ABLATION_ENTRIES, ABLATION_SUBJECTS,
     FIG14_DEPLOYMENTS, FIG15_MESHES, FIG15_TABLES,
 };
 use inpg::hardware;
 use inpg::noc::NocConfig;
-use inpg::stats::{pct, render_timeline, speedup, timeline_legend, Table, Welford};
-use inpg::{LockPrimitive, Mechanism};
+use inpg::stats::{pct, render_timeline, speedup, timeline_legend, PhaseCounters, Table, Welford};
+use inpg::{LockPrimitive, Mechanism, SimError};
 use inpg_sim::Cycle;
 use inpg_workloads::{group_of, CsGroup, BENCHMARKS};
 use std::fmt::{self, Write};
@@ -453,17 +454,19 @@ fn fig08(a: &Artifact) -> Rendered {
 /// that window.
 ///
 /// The one figure that still runs: it needs each thread's phase
-/// timeline, which a [`CellRecord`] does not carry, so it executes the
-/// suite's four uncacheable cells at the suite's default scale.
+/// timeline, which a [`CellRecord`] does not carry, so it builds the
+/// systems of the suite's four uncacheable cells at the suite's default
+/// scale, runs them, and reads the timeline off each.
 fn fig09(_: &Artifact) -> Rendered {
     const WINDOW: u64 = 30_000;
     const THREADS_SHOWN: usize = 8;
     let scale = suites::suite_info("fig09").map_or(0.2, |s| s.default_scale);
-    let report = engine::execute(&suites::fig09(scale), &ExecOptions::quiet())
-        .map_err(|e| ReportError(format!("campaign fig09: {e}")))?;
-    if let Some(cell) = report.failed.first() {
-        return Err(ReportError(format!("fig09 cell `{}` failed: {}", cell.label, cell.reason)));
-    }
+    let cells = suites::fig09(scale).cells;
+    let runs = pool::run_indexed(cells.len(), engine::default_workers(), |i| {
+        let mut system = cells[i].config.system()?;
+        let run = system.run()?;
+        Ok::<_, SimError>((system, run))
+    });
 
     let mut out = String::new();
     writeln!(out, "Figure 9: freqmine timing profile, first {THREADS_SHOWN} threads, a {WINDOW}-cycle steady-state window (QSL, scale {scale})\n")?;
@@ -477,21 +480,22 @@ fn fig09(_: &Artifact) -> Rendered {
     ]);
     let mut base_cs = None;
     let mut window_start = None;
-    for mechanism in Mechanism::ALL {
+    for (cell, ran) in cells.iter().zip(runs) {
+        let mechanism = cell.config.mechanism;
         let label = mechanism.to_string();
-        let (r, timeline) = report
-            .outcome(&label)
-            .and_then(|o| o.fresh.as_ref())
-            .filter(|r| r.completed)
-            .and_then(|r| Some((r, r.timeline.as_ref()?)))
+        let (system, run) =
+            ran.map_err(|e| ReportError(format!("fig09 cell `{label}` failed: {e}")))?;
+        let timeline = system
+            .timeline()
+            .filter(|_| run.completed)
             .ok_or_else(|| ReportError(format!("fig09 cell `{label}` has no completed timeline")))?;
         // The paper profiles a mid-execution slice; the window starts
         // at 25% of the Original run's ROI so every mechanism is
         // measured over the same absolute cycles, past the warm-up.
-        let start = *window_start.get_or_insert(r.roi_cycles / 4);
+        let start = *window_start.get_or_insert(run.cycles / 4);
         let (from, to) = (Cycle::new(start), Cycle::new(start + WINDOW));
         let (parallel, coh, cse) = timeline.shares(from, to, Some(THREADS_SHOWN));
-        let cs = r.cs_completed_between(start, start + WINDOW, THREADS_SHOWN);
+        let cs = cs_completed_between(&system.thread_counters(), from, to, THREADS_SHOWN);
         let progress = match base_cs {
             None => {
                 base_cs = Some(cs);
@@ -510,6 +514,23 @@ fn fig09(_: &Artifact) -> Rendered {
     writeln!(out, "(Paper: Original 62.1/28.3/9.6 with 78 CS; OCOR 69.8/19.8/10.4 with 92;")?;
     writeln!(out, " iNPG 73.0/17.0/10.0 with 96; iNPG+OCOR 80.1/9.0/10.9 with 104.)")?;
     Ok(out)
+}
+
+/// Critical sections the first `threads` threads completed in
+/// `[from, to)` (Figure 9's "critical sections completed during the
+/// reported 30 000 CPU cycles").
+fn cs_completed_between(
+    per_thread: &[PhaseCounters],
+    from: Cycle,
+    to: Cycle,
+    threads: usize,
+) -> usize {
+    per_thread
+        .iter()
+        .take(threads)
+        .flat_map(|c| &c.cs_records)
+        .filter(|r| (from..to).contains(&r.finished_at))
+        .count()
 }
 
 /// Figure 10's per-core map and histogram of one Inv-Ack population.

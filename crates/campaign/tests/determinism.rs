@@ -89,7 +89,7 @@ fn warm_cache_executes_zero_cells_and_reproduces_the_artifact() {
         execute(&campaign, &opts(4, Some(cache.clone()), warm_merged.clone())).unwrap();
     assert_eq!(warm.executed, 0, "a warm cache must execute nothing");
     assert_eq!(warm.cached, campaign.cells.len());
-    assert!(warm.outcomes.iter().all(|o| o.cached && o.fresh.is_none()));
+    assert!(warm.outcomes.iter().all(|o| o.cached && o.wall_nanos == 0));
 
     assert_eq!(
         std::fs::read(&cold_merged).unwrap(),
@@ -270,6 +270,10 @@ fn timeline_cells_always_run_fresh() {
     cfg.height = 4;
     cfg.scale = 0.02;
     cfg.record_timeline = true;
+    assert!(!cfg.cacheable());
+    let mut system = cfg.system().expect("valid cell");
+    system.run().expect("fault-free run");
+    assert!(system.timeline().is_some(), "timeline recorded");
     campaign.push("freq/timeline", cfg);
 
     let dir = scratch("timeline");
@@ -278,9 +282,7 @@ fn timeline_cells_always_run_fresh() {
         let report =
             execute(&campaign, &opts(2, Some(cache.clone()), dir.join("m.jsonl"))).unwrap();
         assert_eq!(report.executed, 1, "uncacheable cells execute every run");
-        let outcome = report.outcome("freq/timeline").unwrap();
-        let fresh = outcome.fresh.as_ref().expect("fresh result present");
-        assert!(fresh.timeline.is_some(), "timeline recorded");
+        assert!(!report.outcome("freq/timeline").unwrap().cached);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -324,4 +326,30 @@ fn a_panicking_cell_is_reported_and_excluded_deterministically() {
     }
     assert_eq!(artifacts[0], artifacts[1], "artifacts match despite the failure");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn observation_is_inert() {
+    // Watching a run — the invariant sweep, the watchdog, recovery
+    // armed but never needed — must not change a single counter.
+    for mechanism in [Mechanism::Original, Mechanism::Inpg] {
+        let plain = CellConfig {
+            mechanism,
+            primitive: inpg::LockPrimitive::Ticket,
+            width: 4,
+            height: 4,
+            scale: 0.05,
+            ..CellConfig::benchmark("kdtree")
+        };
+        let record = plain.run().expect("valid cell");
+        assert!(record.completed, "{mechanism}");
+        let observed = CellConfig {
+            check_invariants: Some(64),
+            watchdog_cycles: Some(200_000),
+            ..plain.clone()
+        };
+        assert_eq!(observed.run().expect("a clean run passes every check"), record, "{mechanism}");
+        let recovering = CellConfig { recover: true, ..plain };
+        assert_eq!(recovering.run().expect("fault-free run"), record, "{mechanism}");
+    }
 }

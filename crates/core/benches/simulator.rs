@@ -10,8 +10,8 @@ use inpg::manycore::{LockPlacement, System, SystemConfig};
 use inpg::noc::packet::{OpaquePayload, Sink, VirtualNetwork};
 use inpg::noc::{Message, Network, NocConfig};
 use inpg::sim::{CoreId, Cycle};
-use inpg::workloads::micro;
-use inpg::{Experiment, LockPrimitive, Mechanism};
+use inpg::workloads::{benchmark, generate, micro, GenOptions};
+use inpg::{LockPrimitive, Mechanism};
 use std::hint::black_box;
 
 /// Flit-level NoC under uniform-random traffic: cost of 10k cycles on an
@@ -117,14 +117,16 @@ fn bench_figure_points(c: &mut Criterion) {
     for primitive in LockPrimitive::ALL {
         group.bench_function(format!("freq_{primitive}_inpg"), |b| {
             b.iter(|| {
-                let r = Experiment::benchmark("freq")
-                    .mechanism(Mechanism::Inpg)
-                    .primitive(primitive)
-                    .scale(0.01)
-                    .run()
-                    .expect("valid experiment");
-                assert!(r.completed);
-                black_box(r.roi_cycles)
+                let mut cfg = Mechanism::Inpg.apply(SystemConfig::baseline());
+                cfg.primitive = primitive;
+                let spec = benchmark("freq").expect("a modelled benchmark");
+                let options = GenOptions { threads: cfg.cores(), scale: 0.01, seed: 0x1a9e_4711 };
+                let programs = generate(spec, options);
+                let mut system = System::new(cfg, programs, spec.locks, LockPlacement::Interleaved)
+                    .expect("valid system");
+                let result = system.run().expect("fault-free run");
+                assert!(result.completed);
+                black_box(result.cycles)
             })
         });
     }

@@ -6,7 +6,7 @@
 //! ([`inpg_noc`]), a directory-MOESI coherence hierarchy
 //! ([`inpg_coherence`]), five lock primitives ([`inpg_locks`]), a
 //! many-core system model ([`inpg_manycore`]) and 24 synthetic benchmark
-//! models ([`inpg_workloads`]) underneath a single experiment API.
+//! models ([`inpg_workloads`]).
 //!
 //! The headline mechanism: *big routers* hold a locking barrier table;
 //! once a lock `GetX` passes through, later competing `GetX`s for the
@@ -16,35 +16,28 @@
 //! invalidated *on the way to* the home node and the winner collects its
 //! acknowledgements far earlier.
 //!
-//! # Quickstart
+//! This crate is the facade over those crates: it re-exports them, and
+//! adds the four comparison [`Mechanism`]s and the analytical hardware
+//! model of Figure 7 ([`hardware`]). A mechanism is applied to a
+//! [`SystemConfig`]; `inpg-campaign`'s `CellConfig` describes and runs
+//! whole experiments.
 //!
 //! ```
-//! use inpg::{Experiment, Mechanism};
+//! use inpg::noc::BigRouterPlacement;
+//! use inpg::{Mechanism, SystemConfig};
 //!
-//! // Compare the baseline against iNPG on the freqmine model
-//! // (scaled down so the doctest stays quick).
-//! let run = |m: Mechanism| {
-//!     Experiment::benchmark("freq")
-//!         .mechanism(m)
-//!         .mesh(4, 4)
-//!         .scale(0.01)
-//!         .run()
-//! };
-//! let base = run(Mechanism::Original)?;
-//! let inpg = run(Mechanism::Inpg)?;
-//! assert!(base.completed && inpg.completed);
-//! assert!(inpg.barrier.requests_stopped > 0, "early invalidation fired");
-//! # Ok::<(), inpg::SimError>(())
+//! let cfg = Mechanism::Inpg.apply(SystemConfig::baseline());
+//! assert_eq!(cfg.noc.placement, BigRouterPlacement::Checkerboard);
+//! let chip = inpg::hardware::chip(&cfg.noc);
+//! assert_eq!(chip.big_routers, 32);
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every figure.
 
-pub mod experiment;
 pub mod hardware;
 pub mod mechanism;
 
-pub use experiment::{Experiment, ExperimentResult, InvAckSummary, NocSummary};
 pub use mechanism::Mechanism;
 
 // Re-export the sub-crates so downstream users need a single dependency.

@@ -2,14 +2,48 @@
 //! way the benchmark harness does, and pin the paper-shape properties
 //! that must hold at any scale.
 
-use inpg::sim::{CoreId, LockId};
-use inpg::{Experiment, LockPrimitive, Mechanism, ThreadProgram};
-use inpg_campaign::CellRecord;
+use inpg::manycore::{LockPlacement, System, SystemConfig};
+use inpg::{LockPrimitive, Mechanism};
+use inpg_campaign::cell::InvAckRecord;
+use inpg_campaign::{CellConfig, CellRecord};
 
-fn hot_lock(threads: usize, rounds: usize) -> Vec<ThreadProgram> {
-    (0..threads)
-        .map(|_| ThreadProgram::new().rounds(rounds, 400, LockId::new(0), 80))
-        .collect()
+/// The smallest delay `v` such that at least `pct` percent of the round
+/// trips are `<= v` (capped at the histogram's last bucket).
+fn percentile(inv: &InvAckRecord, pct: f64) -> u64 {
+    if inv.count == 0 {
+        return 0;
+    }
+    let target = (inv.count as f64 * pct / 100.0).ceil() as u64;
+    let mut seen = 0;
+    for (v, &n) in inv.histogram.iter().enumerate() {
+        seen += n;
+        if seen >= target {
+            return v as u64;
+        }
+    }
+    inv.histogram.len().saturating_sub(1) as u64
+}
+
+fn invack(count: u64, histogram: Vec<u64>) -> InvAckRecord {
+    InvAckRecord { mean: 0.0, max: 0, count, histogram, per_core_mean: vec![] }
+}
+
+#[test]
+fn invack_percentile() {
+    let ten = invack(10, vec![1; 10]);
+    assert_eq!(percentile(&ten, 50.0), 4);
+    assert_eq!(percentile(&ten, 100.0), 9);
+    assert_eq!(percentile(&invack(0, vec![0; 4]), 95.0), 0);
+}
+
+/// A Figure-10 hot-lock cell: every core runs `rounds` rounds of 400
+/// parallel cycles and an 80-cycle TAS critical section on one lock.
+fn hot_lock(rounds: u64, mechanism: Mechanism) -> CellConfig {
+    CellConfig { mechanism, ..CellConfig::hot_lock(rounds, 400, 80) }
+}
+
+fn small_benchmark(name: &str, mechanism: Mechanism) -> CellConfig {
+    CellConfig { mechanism, width: 4, height: 4, scale: 0.05, ..CellConfig::benchmark(name) }
 }
 
 #[test]
@@ -32,14 +66,9 @@ fn table1_defaults_match_the_paper() {
 
 #[test]
 fn figure10_shape_inpg_flattens_invack_delays() {
-    let home = CoreId::new(6 * 8 + 5); // tile (5,6) as in the paper
+    let home = 6 * 8 + 5; // tile (5,6) as in the paper
     let run = |mechanism: Mechanism| {
-        Experiment::custom("fig10", hot_lock(64, 6), 1)
-            .mechanism(mechanism)
-            .primitive(LockPrimitive::Tas)
-            .lock_home(home)
-            .run()
-            .expect("valid experiment")
+        CellConfig { lock_home: Some(home), ..hot_lock(6, mechanism) }.run().expect("valid cell")
     };
     let original = run(Mechanism::Original);
     let inpg = run(Mechanism::Inpg);
@@ -55,15 +84,15 @@ fn figure10_shape_inpg_flattens_invack_delays() {
         original.invack.mean
     );
     assert!(
-        inpg.invack.percentile(95.0) < original.invack.percentile(95.0),
+        percentile(&inpg.invack, 95.0) < percentile(&original.invack, 95.0),
         "p95 {} !< {}",
-        inpg.invack.percentile(95.0),
-        original.invack.percentile(95.0)
+        percentile(&inpg.invack, 95.0),
+        percentile(&original.invack, 95.0)
     );
 
     // Original delays grow with distance from the home tile; iNPG's
     // dependence is much weaker (the paper's Figures 10a vs 10c).
-    let distance_spread = |r: &inpg::ExperimentResult| {
+    let distance_spread = |r: &CellRecord| {
         let (hx, hy) = (5i32, 6i32);
         let mut near = Vec::new();
         let mut far = Vec::new();
@@ -96,14 +125,11 @@ fn figure10_shape_inpg_flattens_invack_delays() {
 fn more_big_routers_stop_more_requests() {
     let mut stops_by_count = Vec::new();
     for count in [4usize, 16, 64] {
-        let r = Experiment::custom("deploy", hot_lock(64, 4), 1)
-            .mechanism(Mechanism::Inpg)
-            .primitive(LockPrimitive::Tas)
-            .big_routers(count)
+        let r = CellConfig { big_routers: Some(count), ..hot_lock(4, Mechanism::Inpg) }
             .run()
-            .expect("valid experiment");
+            .expect("valid cell");
         assert!(r.completed);
-        stops_by_count.push(r.barrier.requests_stopped);
+        stops_by_count.push(r.requests_stopped);
     }
     assert!(
         stops_by_count[0] < stops_by_count[2],
@@ -113,36 +139,22 @@ fn more_big_routers_stop_more_requests() {
 
 #[test]
 fn experiment_results_are_deterministic() {
-    let run = || {
-        Experiment::benchmark("dedup")
-            .mechanism(Mechanism::Inpg)
-            .mesh(4, 4)
-            .scale(0.05)
-            .run()
-            .expect("valid experiment")
-    };
+    let run = || small_benchmark("dedup", Mechanism::Inpg).run().expect("valid cell");
     let a = run();
-    let b = run();
-    assert_eq!(a.roi_cycles, b.roi_cycles);
-    assert_eq!(a.cs_count, b.cs_count);
-    assert_eq!(a.noc.delivered, b.noc.delivered);
-    assert_eq!(a.barrier.requests_stopped, b.barrier.requests_stopped);
+    assert!(a.requests_stopped > 0);
+    assert_eq!(a, run());
 }
 
 #[test]
 fn all_mechanisms_and_primitives_complete_on_a_benchmark() {
     for mechanism in Mechanism::ALL {
         for primitive in [LockPrimitive::Tas, LockPrimitive::Qsl] {
-            let r = Experiment::benchmark("can")
-                .mechanism(mechanism)
-                .primitive(primitive)
-                .mesh(4, 4)
-                .scale(0.05)
+            let r = CellConfig { primitive, ..small_benchmark("can", mechanism) }
                 .run()
-                .expect("valid experiment");
+                .expect("valid cell");
             assert!(r.completed, "{mechanism}/{primitive}");
             assert!(r.cs_count > 0);
-            let (p, c, s) = CellRecord::from_result(&r).phase_shares();
+            let (p, c, s) = r.phase_shares();
             assert!((p + c + s - 1.0).abs() < 1e-9);
         }
     }
@@ -160,13 +172,14 @@ fn parallel_only_workloads_are_untouched_by_mechanisms() {
     let programs = inpg::workloads::micro::embarrassingly_parallel(16, 5_000);
     let mut rois = Vec::new();
     for mechanism in Mechanism::ALL {
-        let r = Experiment::custom("parallel", programs.clone(), 1)
-            .mechanism(mechanism)
-            .mesh(4, 4)
-            .run()
-            .expect("valid experiment");
+        let mut cfg = mechanism.apply(SystemConfig::baseline());
+        cfg.noc.width = 4;
+        cfg.noc.height = 4;
+        let mut system = System::new(cfg, programs.clone(), 1, LockPlacement::Interleaved)
+            .expect("valid system");
+        let r = system.run().expect("fault-free run");
         assert!(r.completed);
-        rois.push(r.roi_cycles);
+        rois.push(r.cycles);
     }
     assert!(
         rois.iter().all(|&x| x == rois[0]),
